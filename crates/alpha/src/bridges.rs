@@ -261,8 +261,8 @@ mod tests {
         // Strict walk-equivalence plus atom grouping: R+dyn(u→w),
         // S+dyn(u→x), T+dyn(y→z), and the chord bridge {Q} whose two arcs
         // touch only separator nodes. (The paper's Figure 2 displays the
-        // chord merged into S's bridge — an equivalent grouping, see
-        // EXPERIMENTS.md.)
+        // chord merged into S's bridge — an equivalent grouping; compare
+        // the figure-2 bridges that `linrec figures` prints.)
         assert_eq!(d.bridges().len(), 4);
         let bw = d.bridge_containing(v("w")).unwrap();
         let bx = d.bridge_containing(v("x")).unwrap();

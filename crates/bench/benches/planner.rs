@@ -11,7 +11,7 @@
 //! the materialized 1k-chain transitive-closure view under a 1% insert
 //! batch (`linrec-service` delta maintenance, scan/index cache reused
 //! across batches) against recomputing the view from scratch on the
-//! post-batch EDB. The derived speedup is the acceptance headline.
+//! post-batch EDB.
 //!
 //! The `parallel` group measures the PR 4 tentpole: the shard-parallel
 //! semi-naive executor on the headline recursions, with **both** the
@@ -19,44 +19,32 @@
 //! (`parallel/<workload>/t1` vs `parallel/<workload>/t<N>`), so the
 //! derived speedup compares like with like. `N` is `LINREC_THREADS` or
 //! the machine's available parallelism, floored at 4 (the acceptance
-//! target is "4+ threads"); the JSON's `meta` block records both the
-//! thread count used and the parallelism the machine actually offered —
-//! a 4-thread run on a 1-core container is honest about being one.
+//! target is "4+ threads").
 //!
 //! The `persistence` group measures the PR 5 tentpole: cold-starting the
 //! 1k-chain TC service from a warm checkpoint (`open_durable`: snapshot
 //! load + empty WAL tail) against the from-scratch fixpoint, plus the
-//! cost of writing one checkpoint generation. The derived
-//! `chain_tc_cold_start_speedup` is the acceptance headline (≥ 3x).
+//! cost of writing one checkpoint generation.
 //!
 //! The `hardening` group measures the PR 7 tentpole: the VFS-indirection
 //! cost on the WAL append path (`Store::append_batch` through
 //! `StdVfs`/dyn dispatch vs a raw `std::fs` write+sync of the same
 //! frame, same binary and filesystem) and the time to bring a degraded
 //! 1k-chain service back to read-write after a fault clears
-//! (`try_restore`: store reopen + snapshot recover). A second summary,
-//! `BENCH_pr7.json`, derives the overhead as a percentage of the
-//! 1k-chain maintenance batch it accompanies (acceptance target < 2%).
+//! (`try_restore`: store reopen + snapshot recover).
 //!
-//! Every measurement lands in `target/criterion.jsonl` (perf trajectory),
-//! and a custom `main` additionally writes the committed summary
-//! `BENCH_pr5.json` at the workspace root: median ns per strategy per
-//! workload (samples pinned ≥ 10 everywhere, including the parallel
-//! groups), the PR 1 seed-engine baselines recorded when this harness was
-//! introduced (the committed `BENCH_pr2.json`–`BENCH_pr4.json` carry the
-//! earlier points), the incremental-vs-recompute speedup, the cold-start
-//! speedup, and — only when `meta.available_parallelism > 1`, so a 1-core
-//! container cannot commit misleading sub-1x numbers — the same-binary
-//! parallel speedups.
+//! Every measurement is appended to `target/criterion.jsonl` (override
+//! with `CRITERION_JSON`); the run writes no other file. The committed
+//! `BENCH_pr*.json` summaries are history from earlier versions of this
+//! bench; the end-to-end benchmark is `perfbench`.
 //!
 //! Deliberate coverage gap (not a silent cap): `Naive` is skipped on the
 //! 1k-chain — naive evaluation re-joins the ~500k-tuple closure every one
 //! of its 1000 rounds and takes minutes; the same strategy is covered on
 //! the grid and shopping workloads where it terminates quickly.
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use linrec_engine::{rules, workload, Analysis, CostModel, Parallelism, Plan, PlanShape};
-use std::fmt::Write as _;
 
 fn bench_planning_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("planner_analysis");
@@ -374,19 +362,6 @@ fn bench_observability(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-side stats of the interleaved sentinel A/B run, for
-/// `write_pr10_summary` (the hand-rolled pairing cannot go through
-/// `bench_function`, which times one fixed closure per measurement).
-struct SentinelAb {
-    on_min: f64,
-    on_median: f64,
-    off_min: f64,
-    off_median: f64,
-    samples: usize,
-}
-
-static SENTINEL_AB: std::sync::OnceLock<SentinelAb> = std::sync::OnceLock::new();
-
 /// PR 10 plan-decision journal + drift sentinel overhead: the same
 /// 1k-chain TC service with a constant-work insert batch committed through
 /// the full `apply_batch` path — WAL-less, so the per-batch cost is delta
@@ -461,13 +436,6 @@ fn bench_sentinel(c: &mut Criterion) {
             min / 1e3,
         );
     }
-    let _ = SENTINEL_AB.set(SentinelAb {
-        on_min,
-        on_median,
-        off_min,
-        off_median,
-        samples,
-    });
 
     let mut group = c.benchmark_group("sentinel");
     group.sample_size(40);
@@ -514,10 +482,6 @@ fn bench_sentinel(c: &mut Criterion) {
 /// same binary") is always what gets measured.
 fn parallel_threads() -> usize {
     Parallelism::from_env().threads().max(4)
-}
-
-fn available_parallelism() -> usize {
-    Parallelism::available().threads()
 }
 
 /// Same-binary 1-thread vs N-thread medians for the headline recursions.
@@ -779,398 +743,4 @@ criterion_group!(
     bench_sentinel
 );
 
-/// PR 1 seed-engine medians (ns) for the headline workloads, measured on
-/// the same machine right before the flat-storage/zero-copy rewrite landed
-/// (commit 0666d23). Kept here so `BENCH_pr2.json` carries the comparison.
-const PR1_BASELINES: &[(&str, u64)] = &[
-    ("chain_tc/direct/1000", 466_733_248),
-    ("shopping/direct/100", 1_951_841),
-    ("shopping/redundancy_bounded/100", 4_502_166),
-    ("shopping/direct/400", 10_457_898),
-    ("shopping/redundancy_bounded/400", 21_934_785),
-    ("updown/decomposed/10", 35_657_937),
-    ("updown/direct/10", 48_715_226),
-    ("grid_tc/direct/20x20", 24_488_896),
-];
-
-fn write_summary(c: &Criterion) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr5.json");
-    let threads = parallel_threads();
-    let multicore = available_parallelism() > 1;
-    let mut out = String::from("{\n  \"meta\": {\n");
-    let _ = writeln!(out, "    \"parallel_threads\": {threads},");
-    let _ = writeln!(
-        out,
-        "    \"available_parallelism\": {}",
-        available_parallelism()
-    );
-    out.push_str("  },\n  \"results\": {\n");
-    let measurements = c.measurements();
-    for (i, (id, median, samples)) in measurements.iter().enumerate() {
-        let comma = if i + 1 == measurements.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    \"{id}\": {{\"median_ns\": {median:.0}, \"samples\": {samples}}}{comma}"
-        );
-    }
-    out.push_str("  },\n  \"baseline_pr1_ns\": {\n");
-    for (i, (id, ns)) in PR1_BASELINES.iter().enumerate() {
-        let comma = if i + 1 == PR1_BASELINES.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(out, "    \"{id}\": {ns}{comma}");
-    }
-    out.push_str("  },\n  \"derived\": {\n");
-    let median = |needle: &str| {
-        measurements
-            .iter()
-            .find(|(id, _, _)| id == needle)
-            .map(|&(_, m, _)| m)
-    };
-    let ratio = |num: Option<f64>, den: Option<f64>| match (num, den) {
-        (Some(n), Some(d)) if d > 0.0 => n / d,
-        _ => 0.0,
-    };
-    // The PR 3 headline: maintaining the 1k-chain TC view under a 1%
-    // insert batch vs recomputing it from scratch.
-    let speedup = ratio(
-        median("incremental/recompute/1000"),
-        median("incremental/maintain/1000"),
-    );
-    let _ = writeln!(
-        out,
-        "    \"chain_tc_1pct_batch_incremental_speedup\": {speedup:.2},"
-    );
-    // The PR 5 headline: cold start from a warm checkpoint (snapshot load
-    // + empty WAL tail) vs the from-scratch fixpoint.
-    let cold = ratio(
-        median("persistence/scratch_fixpoint/1000"),
-        median("persistence/recover/1000"),
-    );
-    let _ = writeln!(out, "    \"chain_tc_cold_start_speedup\": {cold:.2}");
-    // The PR 4 parallel speedups are only meaningful on a multicore host:
-    // on a 1-core container they measure pure sharding overhead and would
-    // read as misleading sub-1x "speedups", so they are emitted only when
-    // the machine actually offers parallelism (the meta block always
-    // records what was available).
-    if multicore {
-        let tn = format!("t{threads}");
-        let chain_par = ratio(
-            median("parallel/chain_tc_1000/t1"),
-            median(&format!("parallel/chain_tc_1000/{tn}")),
-        );
-        let grid_par = ratio(
-            median("parallel/grid_tc_20x20/t1"),
-            median(&format!("parallel/grid_tc_20x20/{tn}")),
-        );
-        let _ = writeln!(out, "    ,\"chain_tc_parallel_speedup\": {chain_par:.2}");
-        let _ = writeln!(out, "    ,\"grid_tc_parallel_speedup\": {grid_par:.2}");
-    }
-    out.push_str("  }\n}\n");
-    match std::fs::write(path, &out) {
-        Ok(()) => eprintln!("planner bench: wrote {path}"),
-        Err(e) => eprintln!("planner bench: cannot write {path}: {e}"),
-    }
-}
-
-/// PR 7 summary: `BENCH_pr7.json` records the operational-hardening
-/// numbers — the VFS-indirection overhead on the WAL append path
-/// expressed against the 1k-chain maintenance median (acceptance target
-/// < 2%), and the time-to-recover after fault clearance. Every ratio is
-/// same-binary, same-run: the PR 5 maintenance baseline is the
-/// `incremental/maintain/1000` measurement this run just produced, not a
-/// stale committed number from different hardware.
-fn write_pr7_summary(c: &Criterion) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr7.json");
-    let measurements = c.measurements();
-    let median = |needle: &str| {
-        measurements
-            .iter()
-            .find(|(id, _, _)| id == needle)
-            .map(|&(_, m, _)| m)
-    };
-    let subset: Vec<_> = measurements
-        .iter()
-        .filter(|(id, _, _)| id.starts_with("hardening/") || id == "incremental/maintain/1000")
-        .collect();
-    let mut out = String::from("{\n  \"meta\": {\n");
-    out.push_str(
-        "    \"note\": \"ratios are same-binary same-run; the PR 5 maintenance baseline \
-         (incremental/maintain/1000) is re-measured by this run, not read from a stale file\"\n",
-    );
-    out.push_str("  },\n  \"results\": {\n");
-    for (i, (id, m, samples)) in subset.iter().enumerate() {
-        let comma = if i + 1 == subset.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    \"{id}\": {{\"median_ns\": {m:.0}, \"samples\": {samples}}}{comma}"
-        );
-    }
-    out.push_str("  },\n  \"derived\": {\n");
-    // VFS dispatch cost per WAL append = StdVfs append minus a raw
-    // std::fs write+sync of the same frame (floored at zero: on fast
-    // filesystems the medians are within noise of each other).
-    let overhead_ns = match (
-        median("hardening/wal_append/std_vfs"),
-        median("hardening/wal_append/raw_fs"),
-    ) {
-        (Some(s), Some(r)) => (s - r).max(0.0),
-        _ => 0.0,
-    };
-    let _ = writeln!(out, "    \"wal_append_vfs_overhead_ns\": {overhead_ns:.0},");
-    // The acceptance headline: that per-batch cost as a percentage of
-    // the 1k-chain incremental-maintenance batch it accompanies.
-    let vs_maintain = median("incremental/maintain/1000")
-        .map(|m| overhead_ns / m * 100.0)
-        .unwrap_or(0.0);
-    let _ = writeln!(
-        out,
-        "    \"chain_tc_maintain_vfs_overhead_pct\": {vs_maintain:.3},"
-    );
-    let recover_ms = median("hardening/time_to_recover/1000")
-        .map(|m| m / 1e6)
-        .unwrap_or(0.0);
-    let _ = writeln!(
-        out,
-        "    \"time_to_recover_after_clearance_ms\": {recover_ms:.2}"
-    );
-    out.push_str("  }\n}\n");
-    match std::fs::write(path, &out) {
-        Ok(()) => eprintln!("planner bench: wrote {path}"),
-        Err(e) => eprintln!("planner bench: cannot write {path}: {e}"),
-    }
-}
-
-/// PR 8 summary: `BENCH_pr8.json` pins the observability cost — the same
-/// 1k-chain maintenance batch with instrumentation enabled vs disabled in
-/// the same binary and run (acceptance target: overhead < 2%), plus the
-/// primitive per-operation costs the budget decomposes into.
-fn write_pr8_summary(c: &Criterion) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr8.json");
-    let measurements = c.measurements();
-    let median = |needle: &str| {
-        measurements
-            .iter()
-            .find(|(id, _, _)| id == needle)
-            .map(|&(_, m, _)| m)
-    };
-    let subset: Vec<_> = measurements
-        .iter()
-        .filter(|(id, _, _)| id.starts_with("observability/"))
-        .collect();
-    let mut out = String::from("{\n  \"meta\": {\n");
-    out.push_str(
-        "    \"note\": \"instrumented vs disabled is same-binary same-run: the only \
-         difference is linrec_obs::set_enabled, so the delta is the metrics+tracing cost \
-         on the 1k-chain 1% maintenance batch\"\n",
-    );
-    out.push_str("  },\n  \"results\": {\n");
-    for (i, (id, m, samples)) in subset.iter().enumerate() {
-        let comma = if i + 1 == subset.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    \"{id}\": {{\"median_ns\": {m:.0}, \"samples\": {samples}}}{comma}"
-        );
-    }
-    out.push_str("  },\n  \"derived\": {\n");
-    let on = median("observability/maintain_instrumented/1000");
-    let off = median("observability/maintain_disabled/1000");
-    let overhead_pct = match (on, off) {
-        (Some(on), Some(off)) if off > 0.0 => ((on - off) / off * 100.0).max(0.0),
-        _ => 0.0,
-    };
-    let _ = writeln!(
-        out,
-        "    \"instrumentation_overhead_pct\": {overhead_pct:.3},"
-    );
-    let prim = |id: &str| median(id).unwrap_or(0.0);
-    let _ = writeln!(
-        out,
-        "    \"counter_inc_ns\": {:.1},",
-        prim("observability/counter_inc")
-    );
-    let _ = writeln!(
-        out,
-        "    \"histogram_observe_ns\": {:.1},",
-        prim("observability/histogram_observe")
-    );
-    let _ = writeln!(
-        out,
-        "    \"span_record_ns\": {:.1}",
-        prim("observability/span_record")
-    );
-    out.push_str("  }\n}\n");
-    match std::fs::write(path, &out) {
-        Ok(()) => eprintln!("planner bench: wrote {path}"),
-        Err(e) => eprintln!("planner bench: cannot write {path}: {e}"),
-    }
-}
-
-/// PR 9 summary: `BENCH_pr9.json` records the dense-kernel numbers — the
-/// same-binary sparse-vs-dense medians of the `dense/*` group, the
-/// planner-path chain/grid timings, and the acceptance headline: the
-/// 1k-chain TC through `plan_for` (now the bitset power-doubling closure)
-/// against both this run's sparse star and the committed PR 5 planner
-/// median from `BENCH_pr5.json` (`chain_tc/planner/1000`, ~170 ms —
-/// cross-machine, so the same-run ratio is the honest one).
-fn write_pr9_summary(c: &Criterion) {
-    /// `chain_tc/planner/1000` median committed in `BENCH_pr5.json`.
-    const PR5_CHAIN_TC_PLANNER_1000_NS: f64 = 171_758_213.0;
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr9.json");
-    let measurements = c.measurements();
-    let median = |needle: &str| {
-        measurements
-            .iter()
-            .find(|(id, _, _)| id == needle)
-            .map(|&(_, m, _)| m)
-    };
-    let subset: Vec<_> = measurements
-        .iter()
-        .filter(|(id, _, _)| {
-            id.starts_with("dense/") || id.starts_with("chain_tc/") || id.starts_with("grid_tc/")
-        })
-        .collect();
-    let mut out = String::from("{\n  \"meta\": {\n");
-    out.push_str(
-        "    \"note\": \"dense/*/planner is the cost-model pick (bitset closure by power \
-         doubling); dense/*/sparse is the semi-naive star in the same binary and run\",\n",
-    );
-    let _ = writeln!(
-        out,
-        "    \"baseline_pr5_chain_tc_planner_1000_ns\": {PR5_CHAIN_TC_PLANNER_1000_NS:.0}"
-    );
-    out.push_str("  },\n  \"results\": {\n");
-    for (i, (id, m, samples)) in subset.iter().enumerate() {
-        let comma = if i + 1 == subset.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    \"{id}\": {{\"median_ns\": {m:.0}, \"samples\": {samples}}}{comma}"
-        );
-    }
-    out.push_str("  },\n  \"derived\": {\n");
-    let ratio = |num: Option<f64>, den: Option<f64>| match (num, den) {
-        (Some(n), Some(d)) if d > 0.0 => n / d,
-        _ => 0.0,
-    };
-    // The acceptance headline, same-binary: 1k-chain sparse star vs the
-    // dense closure the planner now picks.
-    let dense_speedup = ratio(
-        median("dense/chain_1000/sparse"),
-        median("dense/chain_1000/planner"),
-    );
-    let _ = writeln!(out, "    \"chain_tc_dense_speedup\": {dense_speedup:.2},");
-    // Against the committed PR 5 planner median (cross-machine context).
-    let vs_pr5 = ratio(
-        Some(PR5_CHAIN_TC_PLANNER_1000_NS),
-        median("chain_tc/planner/1000"),
-    );
-    let _ = writeln!(out, "    \"chain_tc_planner_vs_pr5_speedup\": {vs_pr5:.2},");
-    let grid_speedup = ratio(
-        median("dense/grid_20x20/sparse"),
-        median("dense/grid_20x20/planner"),
-    );
-    let _ = writeln!(out, "    \"grid_tc_dense_speedup\": {grid_speedup:.2},");
-    for m in [400u32, 2000, 8000] {
-        let s = ratio(
-            median(&format!("dense/random_200_m{m}/sparse")),
-            median(&format!("dense/random_200_m{m}/planner")),
-        );
-        let comma = if m == 8000 { "" } else { "," };
-        let _ = writeln!(out, "    \"random_200_m{m}_dense_speedup\": {s:.2}{comma}");
-    }
-    out.push_str("  }\n}\n");
-    match std::fs::write(path, &out) {
-        Ok(()) => eprintln!("planner bench: wrote {path}"),
-        Err(e) => eprintln!("planner bench: cannot write {path}: {e}"),
-    }
-}
-
-/// PR 10 summary: `BENCH_pr10.json` pins the plan-decision journal + drift
-/// sentinel cost — the same constant-work service batch through
-/// `apply_batch` with the observability layer (journal, sentinel, metrics)
-/// enabled vs disabled in the same binary and run (acceptance target:
-/// overhead < 2%), plus the per-record journal primitive.
-fn write_pr10_summary(c: &Criterion) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr10.json");
-    let measurements = c.measurements();
-    let median = |needle: &str| {
-        measurements
-            .iter()
-            .find(|(id, _, _)| id == needle)
-            .map(|&(_, m, _)| m)
-    };
-    let mut out = String::from("{\n  \"meta\": {\n");
-    out.push_str(
-        "    \"note\": \"maintain_journaled vs maintain_unjournaled is an interleaved \
-         same-binary A/B through the full ViewService::apply_batch path (linrec_obs \
-         toggled per batch over one service); the batch is dominated by a \
-         multi-millisecond copy-on-write whose allocator noise swamps the obs delta, so \
-         the headline overhead is instead derived from estimate_and_record — a direct \
-         measurement of exactly the work observe_maintenance adds per view per committed \
-         batch (one plan estimate over the delta + one journal record) — against the \
-         unjournaled batch median\"\n",
-    );
-    out.push_str("  },\n  \"results\": {\n");
-    if let Some(ab) = SENTINEL_AB.get() {
-        let _ = writeln!(
-            out,
-            "    \"sentinel/maintain_journaled/1000\": {{\"median_ns\": {:.0}, \
-             \"min_ns\": {:.0}, \"samples\": {}}},",
-            ab.on_median, ab.on_min, ab.samples
-        );
-        let _ = writeln!(
-            out,
-            "    \"sentinel/maintain_unjournaled/1000\": {{\"median_ns\": {:.0}, \
-             \"min_ns\": {:.0}, \"samples\": {}}},",
-            ab.off_median, ab.off_min, ab.samples
-        );
-    }
-    if let Some(m) = median("sentinel/journal_record") {
-        let _ = writeln!(
-            out,
-            "    \"sentinel/journal_record\": {{\"median_ns\": {m:.0}}},"
-        );
-    }
-    if let Some(m) = median("sentinel/estimate_and_record/1000") {
-        let _ = writeln!(
-            out,
-            "    \"sentinel/estimate_and_record/1000\": {{\"median_ns\": {m:.0}}}"
-        );
-    }
-    out.push_str("  },\n  \"derived\": {\n");
-    let added = median("sentinel/estimate_and_record/1000").unwrap_or(0.0);
-    let overhead_pct = SENTINEL_AB
-        .get()
-        .filter(|ab| ab.off_median > 0.0)
-        .map(|ab| added / ab.off_median * 100.0)
-        .unwrap_or(0.0);
-    let _ = writeln!(
-        out,
-        "    \"journal_sentinel_overhead_pct\": {overhead_pct:.3},"
-    );
-    let _ = writeln!(out, "    \"observe_path_added_ns\": {added:.0},");
-    let _ = writeln!(
-        out,
-        "    \"journal_record_ns\": {:.1}",
-        median("sentinel/journal_record").unwrap_or(0.0)
-    );
-    out.push_str("  }\n}\n");
-    match std::fs::write(path, &out) {
-        Ok(()) => eprintln!("planner bench: wrote {path}"),
-        Err(e) => eprintln!("planner bench: cannot write {path}: {e}"),
-    }
-}
-
-fn main() {
-    let mut c = Criterion::default();
-    benches(&mut c);
-    write_summary(&c);
-    write_pr7_summary(&c);
-    write_pr8_summary(&c);
-    write_pr9_summary(&c);
-    write_pr10_summary(&c);
-    criterion::__finalize(&c);
-}
+criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Regenerate every experiment table of `EXPERIMENTS.md`.
+//! Regenerate the experiment tables E1–E6 as Markdown on stdout.
 //!
 //! ```sh
 //! cargo run --release -p linrec-bench --bin experiments          # all

@@ -1,5 +1,5 @@
-//! Shared harness utilities for the `linrec` benchmarks and the experiment
-//! regeneration binaries (see `EXPERIMENTS.md` at the workspace root).
+//! Shared harness utilities for the `linrec` benchmarks and the
+//! `experiments` binary, which regenerates the experiment tables E1–E6.
 
 use linrec_datalog::{parse_linear_rule, Atom, LinearRule, Term, Var};
 

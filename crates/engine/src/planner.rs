@@ -1,8 +1,7 @@
 //! The certificate-carrying planner: `Analysis → Plan → Execution`.
 //!
-//! This module is the single entry point for evaluating a linear recursion.
-//! It replaces the six free `eval_*` functions (now deprecated wrappers in
-//! [`crate::strategies`]) with a three-stage pipeline:
+//! This module is the single entry point for evaluating a linear recursion,
+//! a three-stage pipeline:
 //!
 //! 1. **[`Analysis`]** runs the paper's tests over a rule set (and optional
 //!    [`Selection`]) and collects *typed certificates* from `linrec-core`:
@@ -2039,6 +2038,33 @@ mod tests {
             Plan::separable(cert, Selection::eq(1, 4)).unwrap_err(),
             StrategyError::SelectionDoesNotCommute
         );
+    }
+
+    #[test]
+    fn redundancy_bounded_plan_matches_direct_on_example_6_2() {
+        let a = rules::example_6_2();
+        let cert = RedundancyCert::establish(&a, Symbol::new("r"), 8)
+            .unwrap()
+            .expect("r is redundant");
+        let mut db = Database::new();
+        db.set_relation("q", Relation::from_pairs([(1, 2), (2, 3), (3, 1), (2, 2)]));
+        db.set_relation("r", Relation::from_pairs([(1, 2), (2, 1), (3, 3), (1, 1)]));
+        db.set_relation("s", Relation::from_pairs([(2, 1), (3, 2), (1, 3), (2, 2)]));
+        let mut init = Relation::new(4);
+        for w in 1..=3i64 {
+            for x in 1..=3i64 {
+                for y in 1..=3i64 {
+                    for z in 1..=3i64 {
+                        if (w + x + y + z) % 3 == 0 {
+                            init.insert([w, x, y, z].map(Value::Int));
+                        }
+                    }
+                }
+            }
+        }
+        let direct = Plan::direct(vec![a]).execute(&db, &init).unwrap();
+        let bounded = Plan::redundancy_bounded(cert).execute(&db, &init).unwrap();
+        assert_eq!(bounded.relation.sorted(), direct.relation.sorted());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! [`Span`] locating the finding, a message, and an optional fix hint.
 
 use linrec_datalog::Symbol;
+use linrec_obs::trace::json_escape;
 use std::fmt;
 
 /// How serious a finding is.
@@ -275,23 +276,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,11 +288,6 @@ mod tests {
         assert_eq!(Code::UnsafeRule.severity(), Severity::Error);
         assert_eq!(Code::DeadRule.severity(), Severity::Warning);
         assert_eq!(Code::CostSkippedCertificate.severity(), Severity::Info);
-    }
-
-    #[test]
-    fn json_escapes_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

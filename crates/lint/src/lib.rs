@@ -34,7 +34,7 @@ pub mod plan;
 pub mod program;
 
 pub use certcheck::{cross_verify, CertClaims};
-pub use diagnostic::{json_escape, Code, Diagnostic, Severity, Span};
+pub use diagnostic::{Code, Diagnostic, Severity, Span};
 pub use plan::plan_lints;
 pub use program::program_lints;
 

@@ -486,6 +486,12 @@ mod tests {
     }
 
     #[test]
+    fn json_escape_handles_quotes_backslashes_and_controls() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\r\t\u{1}é"), "\\r\\t\\u0001é");
+    }
+
+    #[test]
     fn json_dump_escapes_and_structures() {
         let rec = FlightRecorder::new(4);
         rec.record(SpanRecord {

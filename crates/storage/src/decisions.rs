@@ -1,113 +1,49 @@
-//! `decisions.log` — a CRC-framed, append-only journal of plan-decision
-//! records, stored next to the WAL.
+//! `decisions.log` — an append-only journal of plan-decision records,
+//! stored next to the WAL.
 //!
-//! Each frame is `[len: u32 LE][crc32(payload): u32 LE][payload]`, where
-//! the payload is one decision record as UTF-8 JSON. The log is strictly
-//! observability data: appends are best-effort and a failed append must
-//! never fail an acknowledged batch (the service counts the error and
-//! moves on), but the *format* is held to the same standard as the WAL —
-//! a reader gets the longest valid frame prefix and stops at the first
-//! torn or corrupt frame, and `DecisionLog::open` truncates a torn tail
-//! so later appends land after valid bytes, never after garbage.
-//!
-//! All I/O goes through the [`Vfs`], so `FaultVfs` chaos schedules cover
-//! the log exactly like the WAL and snapshots.
+//! Each record is one decision as UTF-8 JSON, framed by the crate's shared
+//! framed log (`framed.rs`), which also owns the torn-tail and rollback
+//! rules: a reader gets the longest valid frame prefix, [`DecisionLog::open`]
+//! truncates a torn tail, and a failed append is cut back before the next
+//! one, so later appends land after valid bytes, never after garbage. The
+//! log is strictly observability data: a failed append must never fail an
+//! acknowledged batch (the service counts the error and moves on).
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
-use crate::crc::crc32;
 use crate::error::StorageError;
-use crate::vfs::{Vfs, VfsFile};
+use crate::framed::{frames, FramedLog};
+use crate::vfs::Vfs;
 
 /// File name of the decision log inside a data directory.
 pub const DECISIONS_FILE: &str = "decisions.log";
 
-/// Frames larger than this are treated as corruption by the reader (a
-/// decision record is a few KiB; 16 MiB means a scrambled length word).
-const MAX_FRAME_BYTES: u32 = 16 << 20;
-
 /// Append handle for a data directory's `decisions.log`.
 pub struct DecisionLog {
-    file: Box<dyn VfsFile>,
-    path: PathBuf,
-    /// Length of the valid, durable prefix. Failed appends roll the file
-    /// back to this offset so a later append cannot land after a torn
-    /// frame.
-    len: u64,
-    /// Set when a failed append could not be rolled back: the tail state
-    /// is unknown, so the log refuses further writes rather than risk
-    /// appending after garbage.
-    poisoned: bool,
+    log: FramedLog,
     appended: u64,
 }
 
 impl DecisionLog {
     /// Open (creating if missing) the decision log in `dir`. An existing
-    /// file is scanned and a torn tail truncated, mirroring WAL recovery.
+    /// file is scanned and a torn tail truncated, exactly as the WAL is.
     pub fn open(vfs: &Arc<dyn Vfs>, dir: &Path) -> Result<DecisionLog, StorageError> {
         vfs.create_dir_all(dir)
             .map_err(|e| StorageError::io(dir, e))?;
-        let path = dir.join(DECISIONS_FILE);
-        let valid = match vfs.file_len(&path) {
-            Ok(0) | Err(_) => 0,
-            Ok(_) => {
-                let bytes = vfs.read(&path).map_err(|e| StorageError::io(&path, e))?;
-                valid_prefix_len(&bytes)
-            }
-        };
-        let mut file = vfs
-            .open_append(&path)
-            .map_err(|e| StorageError::io(&path, e))?;
-        let on_disk = vfs
-            .file_len(&path)
-            .map_err(|e| StorageError::io(&path, e))?;
-        if on_disk > valid {
-            file.set_len(valid)
-                .map_err(|e| StorageError::io(&path, e))?;
-        }
-        Ok(DecisionLog {
-            file,
-            path,
-            len: valid,
-            poisoned: false,
-            appended: 0,
-        })
+        let mut log = FramedLog::open(vfs, &dir.join(DECISIONS_FILE), &[])?;
+        let bytes = log.read()?;
+        log.recover(&bytes, 0, |_| Ok(()))?;
+        Ok(DecisionLog { log, appended: 0 })
     }
 
-    /// Append one JSON record as a CRC frame and fsync it. On failure the
-    /// file is rolled back to the last valid length; if even the rollback
-    /// fails, the log poisons itself and rejects all further appends.
+    /// Append one JSON record as a frame and fsync it. A failed append
+    /// leaves no record; the next append rolls its bytes back first.
     pub fn append(&mut self, json: &str) -> Result<(), StorageError> {
-        if self.poisoned {
-            return Err(StorageError::Corrupt {
-                file: self.path.display().to_string(),
-                detail: "decision log poisoned by an earlier unrecoverable append failure"
-                    .to_owned(),
-            });
-        }
-        let payload = json.as_bytes();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        let wrote = self
-            .file
-            .write_all(&frame)
-            .and_then(|()| self.file.sync_data());
-        match wrote {
-            Ok(()) => {
-                self.len += frame.len() as u64;
-                self.appended += 1;
-                Ok(())
-            }
-            Err(e) => {
-                if self.file.set_len(self.len).is_err() {
-                    self.poisoned = true;
-                }
-                Err(StorageError::io(&self.path, e))
-            }
-        }
+        self.log.write(json.as_bytes())?;
+        self.log.sync()?;
+        self.appended += 1;
+        Ok(())
     }
 
     /// Records appended through this handle.
@@ -117,7 +53,7 @@ impl DecisionLog {
 
     /// Path of the underlying file.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 }
 
@@ -132,46 +68,18 @@ pub fn read_decision_log(vfs: &dyn Vfs, dir: &Path) -> Result<Vec<String>, Stora
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(StorageError::io(&path, e)),
     };
-    let mut out = Vec::new();
-    let mut off = 0usize;
-    while let Some((payload, next)) = next_frame(&bytes, off) {
-        // Frames are written from &str, so lossy never actually lossies;
-        // it just keeps a disk-corrupted record from killing the read.
-        out.push(String::from_utf8_lossy(payload).into_owned());
-        off = next;
-    }
-    Ok(out)
-}
-
-/// Length in bytes of the longest prefix of `bytes` made of valid frames.
-fn valid_prefix_len(bytes: &[u8]) -> u64 {
-    let mut off = 0usize;
-    while let Some((_, next)) = next_frame(bytes, off) {
-        off = next;
-    }
-    off as u64
-}
-
-/// Decode the frame at `off`; `None` on a torn, truncated, oversized or
-/// checksum-failing frame.
-fn next_frame(bytes: &[u8], off: usize) -> Option<(&[u8], usize)> {
-    let header = bytes.get(off..off + 8)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    if len > MAX_FRAME_BYTES {
-        return None;
-    }
-    let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    let payload = bytes.get(off + 8..off + 8 + len as usize)?;
-    if crc32(payload) != crc {
-        return None;
-    }
-    Some((payload, off + 8 + len as usize))
+    // Frames are written from &str, so lossy never actually lossies; it
+    // just keeps a disk-corrupted record from killing the read.
+    Ok(frames(&bytes, 0)
+        .map(|payload| String::from_utf8_lossy(payload).into_owned())
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vfs::{FaultKind, FaultOp, FaultPlan, FaultVfs, StdVfs};
+    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -320,5 +228,54 @@ mod tests {
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn zero_filled_tail_reads_back_only_the_real_records() {
+        let dir = temp_dir("zeros");
+        let vfs: Arc<dyn Vfs> = Arc::new(StdVfs);
+        let mut log = DecisionLog::open(&vfs, &dir).unwrap();
+        log.append("{\"seq\":1}").unwrap();
+        log.append("{\"seq\":2}").unwrap();
+        drop(log);
+        let path = dir.join(DECISIONS_FILE);
+        let real = std::fs::metadata(&path).unwrap().len();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&[0u8; 64]);
+        std::fs::write(&path, &bytes).unwrap();
+        let records = vec!["{\"seq\":1}".to_string(), "{\"seq\":2}".to_string()];
+        assert_eq!(read_decision_log(vfs.as_ref(), &dir).unwrap(), records);
+        // Open cuts the zeros off, so the next append lands right after
+        // the real records.
+        let mut log = DecisionLog::open(&vfs, &dir).unwrap();
+        log.append("{\"seq\":3}").unwrap();
+        drop(log);
+        let frame_len = 8 + "{\"seq\":3}".len() as u64;
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), real + frame_len);
+        let mut records = records;
+        records.push("{\"seq\":3}".to_string());
+        assert_eq!(read_decision_log(vfs.as_ref(), &dir).unwrap(), records);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_read_fault_during_open_never_truncates_acked_records() {
+        let dir = temp_dir("readfault");
+        let clean: Arc<dyn Vfs> = Arc::new(StdVfs);
+        let mut log = DecisionLog::open(&clean, &dir).unwrap();
+        let records: Vec<String> = (0..4).map(|i| format!("{{\"seq\":{i}}}")).collect();
+        for r in &records {
+            log.append(r).unwrap();
+        }
+        drop(log);
+        let fault: Arc<dyn Vfs> =
+            FaultVfs::new(FaultPlan::none().fail_nth(FaultOp::Read, 1, FaultKind::Transient));
+        // Either the open reports the fault, or it saw the whole file.
+        if let Ok(mut log) = DecisionLog::open(&fault, &dir) {
+            log.append("{\"seq\":4}").unwrap();
+        }
+        let read = read_decision_log(clean.as_ref(), &dir).unwrap();
+        assert!(read.starts_with(&records), "acked records lost: {read:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

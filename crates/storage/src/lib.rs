@@ -20,8 +20,13 @@
 //!   where portable), variable-length strings concentrated in one
 //!   length-prefixed table. Designed so a future `mmap` loader can read
 //!   arenas in place.
-//! * [`wal`] — CRC-framed insert batches, fsynced before acknowledgement;
-//!   torn tails are detected and truncated, corruption is a typed error.
+//! * `framed` — the one framed-log primitive: `[len][crc32][payload]`
+//!   frames, the valid-prefix scan that truncates a torn tail, and the
+//!   rollback of a failed append before the next one.
+//! * [`wal`] — insert batches on the framed log, fsynced before
+//!   acknowledgement; a frame that passes its CRC but does not decode is
+//!   corruption, a typed error.
+//! * [`decisions`] — the plan-decision journal on the same framed log.
 //! * [`store`] — the data directory: `open` → `recover` →
 //!   `append_batch`/`checkpoint`, with atomic checkpoint publication
 //!   (temp + rename + manifest swap) and pruning of superseded
@@ -68,6 +73,7 @@
 mod crc;
 pub mod decisions;
 pub mod error;
+mod framed;
 pub mod profile;
 pub mod snapshot;
 pub mod store;

@@ -18,31 +18,24 @@
 //!                         arity 16-byte value cells (snapshot encoding)
 //! ```
 //!
-//! A torn tail — a partial frame, a frame whose CRC fails, or a length
-//! that runs past EOF — marks the end of the acknowledged prefix: replay
-//! stops there and **truncates** the file back to the last good frame, so
-//! a later append can never land after garbage. A frame that passes its
-//! CRC but decodes to nonsense (bad tag, non-monotone sequence number) is
-//! not a torn write; it is corruption and surfaces as a typed error.
-//!
-//! # Failed appends and retry
-//!
-//! All I/O goes through the [`Vfs`] the [`Wal`] was opened with, and a
-//! *failed* append (short write, failed fsync, ENOSPC) may leave unknown
-//! bytes past the acknowledged prefix. The `Wal` tracks that with a dirty
-//! flag: the next append first **rolls back** — truncates the file to the
-//! last acknowledged frame and syncs — before writing anything new. A
-//! retried frame therefore never lands after garbage, which is what makes
-//! the service's retry-with-backoff policy safe: an append either becomes
-//! a durable frame at the end of the good prefix, or it leaves no
-//! acknowledged trace at all.
+//! The frame, the torn-tail rule (a partial frame, a zero or oversize
+//! length, a failed CRC) and the rollback of failed appends belong to the
+//! crate's shared framed log (`framed.rs`). Replay stops at the end of the
+//! valid prefix and **truncates** the file back to the last good frame,
+//! and a failed append is cut back before the next one, so an append
+//! either becomes a durable frame at the end of the acknowledged prefix or
+//! leaves no acknowledged trace — which is what makes the service's
+//! retry-with-backoff policy safe. This module owns the header check, the
+//! payload codec, and one rule of its own: a frame that passes its CRC but
+//! decodes to nonsense (bad tag, non-monotone sequence number) is not a
+//! torn write; it is corruption and surfaces as a typed error.
 
-use crate::crc::crc32;
 use crate::error::StorageError;
+use crate::framed::{FramedLog, FRAME_HEADER_LEN};
 use crate::snapshot::{ByteReader, ByteWriter};
-use crate::vfs::{Vfs, VfsFile};
+use crate::vfs::Vfs;
 use linrec_datalog::{Symbol, Value};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 pub(crate) const WAL_MAGIC: [u8; 8] = *b"LINRWAL1";
@@ -50,9 +43,6 @@ pub(crate) const WAL_MAGIC: [u8; 8] = *b"LINRWAL1";
 pub const WAL_FORMAT_VERSION: u32 = 1;
 
 const WAL_HEADER_LEN: usize = 16;
-/// Upper bound on one frame's payload; anything larger in a length word is
-/// treated as a torn/garbage tail, not an allocation request.
-const MAX_FRAME: u32 = 64 << 20;
 
 const TAG_INT: u64 = 0;
 const TAG_SYM: u64 = 1;
@@ -69,19 +59,12 @@ pub struct Batch {
 
 /// An open WAL file positioned for appends.
 pub(crate) struct Wal {
-    vfs: Arc<dyn Vfs>,
-    file: Box<dyn VfsFile>,
-    path: PathBuf,
-    /// Bytes of acknowledged frames past the file header.
-    payload_bytes: u64,
+    log: FramedLog,
     /// Sequence number the next append will carry.
     next_seq: u64,
-    /// A previous append failed partway: unknown bytes may trail the
-    /// acknowledged prefix, so the next append must roll back first.
-    dirty: bool,
 }
 
-fn encode_frame(seq: u64, inserts: &[(Symbol, Vec<Value>)]) -> Vec<u8> {
+fn encode_payload(seq: u64, inserts: &[(Symbol, Vec<Value>)]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u64(seq);
     w.u64(inserts.len() as u64);
@@ -105,12 +88,7 @@ fn encode_frame(seq: u64, inserts: &[(Symbol, Vec<Value>)]) -> Vec<u8> {
             }
         }
     }
-    let payload = w.buf;
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
+    w.buf
 }
 
 fn decode_frame(payload: &[u8], path: &Path) -> Result<Batch, StorageError> {
@@ -163,26 +141,13 @@ impl Wal {
     /// Open `path` for appends through `vfs`, creating it (with a synced
     /// header) when missing or empty.
     pub(crate) fn open_or_create(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Wal, StorageError> {
-        let mut file = vfs
-            .open_append(path)
-            .map_err(|e| StorageError::io(path, e))?;
-        let len = vfs.file_len(path).map_err(|e| StorageError::io(path, e))?;
-        if len == 0 {
-            let mut header = Vec::with_capacity(WAL_HEADER_LEN);
-            header.extend_from_slice(&WAL_MAGIC);
-            header.extend_from_slice(&WAL_FORMAT_VERSION.to_le_bytes());
-            header.extend_from_slice(&0u32.to_le_bytes());
-            file.write_all(&header)
-                .and_then(|_| file.sync_data())
-                .map_err(|e| StorageError::io(path, e))?;
-        }
+        let mut header = Vec::with_capacity(WAL_HEADER_LEN);
+        header.extend_from_slice(&WAL_MAGIC);
+        header.extend_from_slice(&WAL_FORMAT_VERSION.to_le_bytes());
+        header.extend_from_slice(&0u32.to_le_bytes());
         Ok(Wal {
-            vfs: Arc::clone(vfs),
-            file,
-            path: path.to_owned(),
-            payload_bytes: 0,
+            log: FramedLog::open(vfs, path, &header)?,
             next_seq: 1,
-            dirty: false,
         })
     }
 
@@ -190,64 +155,32 @@ impl Wal {
     /// Returns the batches in append order; afterwards the file ends at
     /// the last good frame and appends may resume.
     pub(crate) fn replay_and_truncate(&mut self) -> Result<Vec<Batch>, StorageError> {
-        let bytes = self
-            .vfs
-            .read(&self.path)
-            .map_err(|e| StorageError::io(&self.path, e))?;
+        let path = self.log.path().to_owned();
+        let bytes = self.log.read()?;
         if bytes.len() < WAL_HEADER_LEN || bytes[..8] != WAL_MAGIC {
-            return Err(StorageError::corrupt(&self.path, "bad WAL header"));
+            return Err(StorageError::corrupt(&path, "bad WAL header"));
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
         if version != WAL_FORMAT_VERSION {
             return Err(StorageError::UnsupportedVersion {
-                file: self.path.display().to_string(),
+                file: path.display().to_string(),
                 found: version,
             });
         }
-        let mut batches = Vec::new();
-        let mut pos = WAL_HEADER_LEN;
-        let mut good_end = pos;
-        let mut last_seq = 0u64;
-        while pos + 8 <= bytes.len() {
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-            let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-            if len == 0 || len > MAX_FRAME {
-                break; // garbage length: torn tail
-            }
-            let start = pos + 8;
-            let Some(end) = start
-                .checked_add(len as usize)
-                .filter(|&e| e <= bytes.len())
-            else {
-                break; // frame runs past EOF: torn tail
-            };
-            let payload = &bytes[start..end];
-            if crc32(payload) != crc {
-                break; // torn or rotted frame: end of the trusted prefix
-            }
-            // The CRC passed, so this frame was fully written and synced:
-            // decode failures past this point are corruption, not tearing.
-            let batch = decode_frame(payload, &self.path)?;
+        let mut batches: Vec<Batch> = Vec::new();
+        self.log.recover(&bytes, WAL_HEADER_LEN, |payload| {
+            let batch = decode_frame(payload, &path)?;
+            let last_seq = batches.last().map_or(0, |b| b.seq);
             if batch.seq <= last_seq {
                 return Err(StorageError::corrupt(
-                    &self.path,
+                    &path,
                     format!("sequence went {} -> {}", last_seq, batch.seq),
                 ));
             }
-            last_seq = batch.seq;
             batches.push(batch);
-            pos = end;
-            good_end = end;
-        }
-        if (good_end as u64) < bytes.len() as u64 {
-            self.file
-                .set_len(good_end as u64)
-                .and_then(|_| self.file.sync_data())
-                .map_err(|e| StorageError::io(&self.path, e))?;
-        }
-        self.payload_bytes = (good_end - WAL_HEADER_LEN) as u64;
-        self.next_seq = last_seq + 1;
-        self.dirty = false;
+            Ok(())
+        })?;
+        self.next_seq = batches.last().map_or(0, |b| b.seq) + 1;
         Ok(batches)
     }
 
@@ -255,65 +188,53 @@ impl Wal {
     /// caller must not acknowledge the batch before this returns.
     ///
     /// On failure the batch is guaranteed absent from the acknowledged
-    /// prefix, and the `Wal` remembers to roll back any partial bytes
-    /// before the next append — so the caller may simply retry.
+    /// prefix, and the log rolls back any partial bytes before the next
+    /// append — so the caller may simply retry.
     pub(crate) fn append(
         &mut self,
         inserts: &[(Symbol, Vec<Value>)],
     ) -> Result<(u64, u64), StorageError> {
-        if self.dirty {
-            // A previous append may have left partial bytes; cut the file
-            // back to the acknowledged prefix before writing anything.
-            let good = WAL_HEADER_LEN as u64 + self.payload_bytes;
-            self.file
-                .set_len(good)
-                .and_then(|_| self.file.sync_data())
-                .map_err(|e| StorageError::io(&self.path, e))?;
-            self.dirty = false;
-        }
         let seq = self.next_seq;
-        let frame = encode_frame(seq, inserts);
+        let payload = encode_payload(seq, inserts);
         let mut sp = linrec_obs::span("wal.append");
         sp.attr("seq", seq);
-        sp.attr("bytes", frame.len());
+        sp.attr("bytes", FRAME_HEADER_LEN + payload.len());
         let obs_on = linrec_obs::enabled();
         let t_append = obs_on.then(std::time::Instant::now);
-        let result = self.file.write_all(&frame).and_then(|_| {
+        let result = self.log.write(&payload).and_then(|bytes| {
             let _fsp = linrec_obs::span("wal.fsync");
             let t_sync = obs_on.then(std::time::Instant::now);
-            let r = self.file.sync_data();
-            if let (Some(t), Ok(())) = (t_sync, &r) {
+            self.log.sync()?;
+            if let Some(t) = t_sync {
                 crate::profile::wal()
                     .fsync_ns
                     .observe(t.elapsed().as_nanos() as u64);
             }
-            r
+            Ok(bytes)
         });
         match result {
-            Ok(()) => {
+            Ok(bytes) => {
                 if let Some(t) = t_append {
                     let prof = crate::profile::wal();
                     prof.append_ns.observe(t.elapsed().as_nanos() as u64);
-                    prof.append_bytes.observe(frame.len() as u64);
+                    prof.append_bytes.observe(bytes);
                     prof.appends.inc();
                 }
                 self.next_seq += 1;
-                self.payload_bytes += frame.len() as u64;
-                Ok((seq, frame.len() as u64))
+                Ok((seq, bytes))
             }
             Err(e) => {
                 if obs_on {
                     crate::profile::wal().append_errors.inc();
                 }
-                self.dirty = true;
-                Err(StorageError::io(&self.path, e))
+                Err(e)
             }
         }
     }
 
     /// Bytes of acknowledged frames in the file (excluding the header).
     pub(crate) fn payload_bytes(&self) -> u64 {
-        self.payload_bytes
+        self.log.acked_len().saturating_sub(WAL_HEADER_LEN as u64)
     }
 
     /// Sequence number the next append will carry.
@@ -333,6 +254,7 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::vfs::{FaultKind, FaultOp, FaultPlan, FaultVfs, StdVfs};
+    use std::path::PathBuf;
 
     fn stdvfs() -> Arc<dyn Vfs> {
         Arc::new(StdVfs)
@@ -427,6 +349,31 @@ mod tests {
         let replayed = wal.replay_and_truncate().unwrap();
         assert_eq!(replayed.len(), 2);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), offsets[2]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zero_filled_tail_replays_the_acked_batches_and_is_truncated() {
+        let dir = tmpdir("zeros");
+        let path = dir.join("wal-0.log");
+        let mut wal = Wal::open_or_create(&stdvfs(), &path).unwrap();
+        for i in 0..3 {
+            wal.append(&batch(i)).unwrap();
+        }
+        drop(wal);
+        let acked = std::fs::metadata(&path).unwrap().len();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&[0u8; 64]);
+        std::fs::write(&path, &bytes).unwrap();
+        let mut wal = Wal::open_or_create(&stdvfs(), &path).unwrap();
+        let replayed = wal.replay_and_truncate().unwrap();
+        assert_eq!(replayed.len(), 3);
+        for (i, b) in replayed.iter().enumerate() {
+            assert_eq!(b.inserts, batch(i as i64));
+        }
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), acked);
+        let (seq, _) = wal.append(&batch(3)).unwrap();
+        assert_eq!(seq, 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -174,7 +174,7 @@ fn check_cmd(args: &[String]) -> ExitCode {
         if json {
             json_files.push(format!(
                 "{{\"file\":\"{}\",\"diagnostics\":{}}}",
-                linrec::lint::json_escape(file),
+                linrec::obs::trace::json_escape(file),
                 report.render_json(),
             ));
         } else if report.diagnostics.is_empty() {

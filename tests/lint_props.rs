@@ -89,9 +89,12 @@ fn cover_db(rules: &[LinearRule], seed: u64, sparse: bool) -> (Database, Relatio
     (db, init)
 }
 
-#[allow(deprecated)]
 fn fixpoint(rules: &[LinearRule], db: &Database, init: &Relation) -> Vec<Tuple> {
-    linrec::engine::eval_direct(rules, db, init).0.sorted()
+    Plan::direct(rules.to_vec())
+        .execute(db, init)
+        .expect("direct plans cannot fail")
+        .relation
+        .sorted()
 }
 
 proptest! {

@@ -306,27 +306,3 @@ fn selection_after_decomposition_for_multiple_selections() {
     let (outer, _) = linrec::engine::eval_selected_star(&up, &db, &inner, &s0);
     assert_eq!(outer.sorted(), expected.sorted());
 }
-
-#[test]
-fn legacy_wrappers_delegate_to_the_planner() {
-    // The deprecated entry points must stay behaviorally identical to the
-    // plans they wrap.
-    #![allow(deprecated)]
-    use linrec::engine::{eval_direct, eval_naive, eval_select_after};
-    let all = vec![rules::down_rule(), rules::up_rule()];
-    let (db, init) = workload::up_down(5, 13);
-    let (legacy, legacy_stats) = eval_direct(&all, &db, &init);
-    let new = Plan::direct(all.clone()).execute(&db, &init).unwrap();
-    assert_eq!(legacy.sorted(), new.relation.sorted());
-    assert_eq!(legacy_stats, new.stats);
-
-    let (legacy_naive, _) = eval_naive(&all, &db, &init);
-    assert_eq!(legacy_naive.sorted(), new.relation.sorted());
-
-    let sel = Selection::eq(1, (1i64 << 6) + 1);
-    let (legacy_sel, _) = eval_select_after(&all, &db, &init, &sel);
-    let new_sel = Plan::select_after(Plan::direct(all), sel)
-        .execute(&db, &init)
-        .unwrap();
-    assert_eq!(legacy_sel.sorted(), new_sel.relation.sorted());
-}

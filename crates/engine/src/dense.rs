@@ -29,11 +29,10 @@ use linrec_datalog::{BitsetRelation, Database, DenseDomain, LinearRule, Relation
 use std::sync::Arc;
 
 /// Default byte budget for the dense working set (three `domain × words`
-/// matrices: operand, accumulator, scratch) when no cost model supplies
-/// one — used by entry points with no planner context (e.g. the
-/// [`crate::seminaive::exact_power`] convenience wrapper). Planner-driven
-/// execution threads [`crate::planner::CostModel::dense_budget_bytes`]
-/// instead.
+/// matrices: operand, accumulator, scratch) of a hand-built plan — the
+/// same value as the stock [`crate::planner::CostModel::dense_budget_bytes`],
+/// which planner-driven execution threads into the dense closure and
+/// every [`crate::seminaive::exact_power`] chain instead.
 pub const DEFAULT_DENSE_BUDGET_BYTES: usize = 64 << 20;
 
 /// Which side of the recursive atom the EDB relation composes on.
@@ -274,6 +273,7 @@ pub fn exact_power(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::Indexes;
     use crate::seminaive::{exact_power as sparse_exact_power, seminaive_star};
     use crate::{rules, workload};
     use linrec_datalog::parse_linear_rule;
@@ -348,8 +348,19 @@ mod tests {
                 &mut dense_stats,
             )
             .unwrap();
+            // Budget 0 pins the reference to the sparse join chain: one
+            // application per power, never the dense fast path under test.
             let mut sparse_stats = EvalStats::default();
-            let sparse = sparse_exact_power(&rule, &db, &edges, count, &mut sparse_stats);
+            let sparse = sparse_exact_power(
+                &rule,
+                &db,
+                &edges,
+                count,
+                &mut sparse_stats,
+                &mut Indexes::new(),
+                0,
+            );
+            assert_eq!(sparse_stats.applications, count as u64, "count {count}");
             assert_eq!(dense.sorted(), sparse.sorted(), "count {count}");
         }
     }

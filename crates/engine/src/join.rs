@@ -33,7 +33,7 @@
 //! occurs in no *other* body atom can never be bound at probe time (the
 //! join binds variables strictly left-to-right across atoms), so indexing
 //! it would be wasted work. The runtime falls back to a linear arena scan
-//! for un-indexed columns — the per-tuple [`match_tuple`] check re-verifies
+//! for un-indexed columns — the per-tuple `match_tuple` check re-verifies
 //! every column, so indexes are purely a candidate filter and never affect
 //! the result.
 //!

@@ -70,8 +70,5 @@ pub use pool::WorkerPool;
 pub use program::Program;
 pub use provenance::{eval_with_provenance, Provenance, Step};
 pub use selection::Selection;
-pub use seminaive::{
-    bounded_prefix, exact_power, naive_star, seminaive_resume_in, seminaive_resume_par_in,
-    seminaive_round_par, seminaive_star, seminaive_star_par_in,
-};
+pub use seminaive::{exact_power, naive_star, seminaive_resume, seminaive_star, seminaive_star_in};
 pub use stats::EvalStats;

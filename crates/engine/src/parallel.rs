@@ -2,10 +2,9 @@
 //! the shared worker pool they run on.
 //!
 //! [`Parallelism`] is a small, cheaply clonable handle threaded through the
-//! planner ([`crate::planner::Plan::parallelize`]), the parallel semi-naive
-//! variants ([`crate::seminaive::seminaive_star_par_in`] /
-//! [`crate::seminaive::seminaive_resume_par_in`]), and the service's delta
-//! maintenance. It carries:
+//! planner ([`crate::planner::Plan::parallelize`]), the semi-naive loop
+//! ([`crate::seminaive::seminaive_resume`], which every star and delta
+//! resume runs through), and the service's delta maintenance. It carries:
 //!
 //! * the **thread count** (= shard count per parallel round), and
 //! * the **minimum delta size** below which a round stays sequential — the
@@ -17,9 +16,9 @@
 //! for the same thread count reuse one process-wide [`WorkerPool`] (kept in
 //! a registry of weak references), so the planner's fixpoints and the
 //! service's maintenance never stack two competing pools of threads.
-//! `Parallelism::sequential()` carries no pool at all and makes every
-//! `*_par_in` entry point degrade to the plain sequential implementation —
-//! the default everywhere, so existing callers are bit-for-bit unchanged.
+//! `Parallelism::sequential()` carries no pool at all, so every round of
+//! the semi-naive loop runs on the calling thread — the default
+//! everywhere; parallel rounds produce bit-identical results and stats.
 
 use crate::pool::WorkerPool;
 use linrec_datalog::hash::FastMap;

@@ -50,9 +50,7 @@ use crate::join::Indexes;
 use crate::magic::{eval_selected_star, magic_applicable};
 use crate::parallel::Parallelism;
 use crate::selection::Selection;
-use crate::seminaive::{
-    bounded_prefix_in, exact_power_in, naive_star, seminaive_star_in, seminaive_star_par_in,
-};
+use crate::seminaive::{exact_power, naive_star, seminaive_star_in};
 use crate::stats::EvalStats;
 use linrec_core::{BoundednessCert, CommutativityCert, RedundancyCert, SeparabilityCert};
 use linrec_datalog::hash::{FastMap, FastSet};
@@ -1701,7 +1699,7 @@ impl Plan {
         match &self.node {
             PlanNode::Direct { rules } => {
                 let phase = Phase::begin("direct");
-                let (rel, stats) = seminaive_star_par_in(rules, db, init, indexes, &self.par);
+                let (rel, stats) = seminaive_star_in(rules, db, init, None, indexes, &self.par);
                 trace.push(phase.finish(
                     format!("semi-naive star over {} rule(s)", rules.len()),
                     stats,
@@ -1719,8 +1717,14 @@ impl Plan {
             }
             PlanNode::BoundedPrefix { cert } => {
                 let phase = Phase::begin("bounded-prefix");
-                let (rel, stats) =
-                    bounded_prefix_in(cert.rule(), db, init, cert.applications(), indexes);
+                let (rel, stats) = seminaive_star_in(
+                    std::slice::from_ref(cert.rule()),
+                    db,
+                    init,
+                    Some(cert.applications()),
+                    indexes,
+                    &self.par,
+                );
                 trace.push(phase.finish(
                     format!("bounded prefix (≤ {} applications)", cert.applications()),
                     stats,
@@ -1734,7 +1738,8 @@ impl Plan {
                     let phase = Phase::begin("decomposed-cluster");
                     let group: Vec<LinearRule> =
                         cluster.iter().map(|&i| cert.rules()[i].clone()).collect();
-                    let (next, s) = seminaive_star_par_in(&group, db, &current, indexes, &self.par);
+                    let (next, s) =
+                        seminaive_star_in(&group, db, &current, None, indexes, &self.par);
                     trace.push(phase.finish(format!("star of cluster {cluster:?}"), s));
                     stats += s;
                     current = next;
@@ -1752,9 +1757,15 @@ impl Plan {
                 indexes,
                 &self.par,
             ),
-            PlanNode::RedundancyBounded { cert } => {
-                exec_redundancy_bounded(cert, db, init, trace, indexes, self.dense_budget_bytes)
-            }
+            PlanNode::RedundancyBounded { cert } => exec_redundancy_bounded(
+                cert,
+                db,
+                init,
+                trace,
+                indexes,
+                &self.par,
+                self.dense_budget_bytes,
+            ),
             PlanNode::DenseClosure {
                 rule,
                 shape,
@@ -1773,10 +1784,11 @@ impl Plan {
                         // The actual domain outgrew the planner's estimate
                         // (or the seed is not binary): evaluate sparse,
                         // identical semantics.
-                        let (rel, stats) = seminaive_star_par_in(
+                        let (rel, stats) = seminaive_star_in(
                             std::slice::from_ref(rule),
                             db,
                             init,
+                            None,
                             indexes,
                             &self.par,
                         );
@@ -1839,7 +1851,7 @@ fn exec_separable(
     } else {
         let phase = Phase::begin("separable-inner");
         let (full, mut s) =
-            seminaive_star_par_in(std::slice::from_ref(inner), db, init, indexes, par);
+            seminaive_star_in(std::slice::from_ref(inner), db, init, None, indexes, par);
         let rel = sel.apply(&full);
         s.tuples = rel.len();
         trace.push(phase.finish(
@@ -1849,8 +1861,14 @@ fn exec_separable(
         (rel, s)
     };
     let phase = Phase::begin("separable-outer");
-    let (result, s2) =
-        seminaive_star_par_in(std::slice::from_ref(outer), db, &selected, indexes, par);
+    let (result, s2) = seminaive_star_in(
+        std::slice::from_ref(outer),
+        db,
+        &selected,
+        None,
+        indexes,
+        par,
+    );
     trace.push(phase.finish("outer star over the selected relation".to_owned(), s2));
     stats += s2;
     // σ commutes with `outer`, so the result is already σ-selected; apply
@@ -1878,6 +1896,7 @@ fn exec_redundancy_bounded(
     init: &Relation,
     trace: &mut Vec<TraceStep>,
     indexes: &mut Indexes,
+    par: &Parallelism,
     dense_budget_bytes: usize,
 ) -> Result<(Relation, EvalStats), StrategyError> {
     let rule = cert.rule();
@@ -1888,7 +1907,14 @@ fn exec_redundancy_bounded(
 
     // Part 1: Σ_{m=0}^{KL-1} Aᵐ q.
     let phase = Phase::begin("redundancy-prefix");
-    let (mut result, s1) = bounded_prefix_in(rule, db, init, k * l - 1, indexes);
+    let (mut result, s1) = seminaive_star_in(
+        std::slice::from_ref(rule),
+        db,
+        init,
+        Some(k * l - 1),
+        indexes,
+        par,
+    );
     trace.push(phase.finish(format!("prefix Σ_{{m<{}}} Aᵐ q", k * l), s1));
     stats += s1;
 
@@ -1900,16 +1926,23 @@ fn exec_redundancy_bounded(
     let branch_stats_before = stats;
     let mut acc = Relation::new(rule.arity());
     let budget = dense_budget_bytes;
-    let mut img = exact_power_in(&dec.b, db, init, k - 1, &mut stats, indexes, budget); // B^{K-1} q
+    let mut img = exact_power(&dec.b, db, init, k - 1, &mut stats, indexes, budget); // B^{K-1} q
     for r in 0..period {
         if r > 0 {
-            img = exact_power_in(&dec.b, db, &img, 1, &mut stats, indexes, budget);
+            img = exact_power(&dec.b, db, &img, 1, &mut stats, indexes, budget);
             // B^{K-1+r} q
         }
-        let (bstar, s) = seminaive_star_in(std::slice::from_ref(&b_period), db, &img, indexes);
+        let (bstar, s) = seminaive_star_in(
+            std::slice::from_ref(&b_period),
+            db,
+            &img,
+            None,
+            indexes,
+            par,
+        );
         stats += s;
-        let after_c = exact_power_in(&dec.c, db, &bstar, (k + r) * l, &mut stats, indexes, budget);
-        let with_b = exact_power_in(&dec.b, db, &after_c, 1, &mut stats, indexes, budget);
+        let after_c = exact_power(&dec.c, db, &bstar, (k + r) * l, &mut stats, indexes, budget);
+        let with_b = exact_power(&dec.b, db, &after_c, 1, &mut stats, indexes, budget);
         acc.union_in_place(&with_b);
     }
 
@@ -1917,7 +1950,7 @@ fn exec_redundancy_bounded(
     let mut cur = acc.clone();
     result.union_in_place(&acc);
     for _ in 1..l {
-        cur = exact_power_in(rule, db, &cur, 1, &mut stats, indexes, budget);
+        cur = exact_power(rule, db, &cur, 1, &mut stats, indexes, budget);
         result.union_in_place(&cur);
     }
     {

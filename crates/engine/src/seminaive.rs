@@ -9,18 +9,24 @@
 //! the whole accumulated relation each round and serves as the substrate
 //! baseline (experiment E6).
 //!
+//! Every semi-naive evaluation in the engine and the service runs one
+//! loop, [`seminaive_resume`]: from-scratch stars, bounded prefixes (a
+//! round cap), the redundancy-bounded `(Bᴾ)*`, and each cluster of a
+//! decomposed view's maintenance. It owns the `engine.fixpoint` span and
+//! the round metrics, so every one of those phases is visible in traces.
+//!
 //! # Parallel rounds and the shard-by-join-key invariant
 //!
-//! The `*_par_in` variants run each round's rule applications over `K`
-//! hash-partitioned shards of the delta on the shared engine pool
-//! ([`crate::parallel::Parallelism`]). This is sound for exactly the
-//! reason the paper cares about commutativity: within one semi-naive
-//! round, every delta tuple is an **independent** premise. A linear
-//! operator distributes over union — `A(Δ₁ ∪ … ∪ Δ_K) = A(Δ₁) ∪ … ∪
-//! A(Δ_K)` — so any partition of `Δ` evaluates to the same derived set,
-//! and the per-tuple derivations commute (this is the commutative case of
-//! the commutativity-verification framing: operations on independently
-//! derivable tuples can be reordered freely). Partitioning therefore
+//! Under a parallel knob ([`crate::parallel::Parallelism`]), each round's
+//! rule applications run over `K` hash-partitioned shards of the delta on
+//! the shared engine pool. This is sound for exactly the reason the paper
+//! cares about commutativity: within one semi-naive round, every delta
+//! tuple is an **independent** premise. A linear operator distributes
+//! over union — `A(Δ₁ ∪ … ∪ Δ_K) = A(Δ₁) ∪ … ∪ A(Δ_K)` — so any partition
+//! of `Δ` evaluates to the same derived set, and the per-tuple derivations
+//! commute (this is the commutative case of the commutativity-
+//! verification framing: operations on independently derivable tuples can
+//! be reordered freely). Partitioning therefore
 //! *commutes with the licensed plan*: a certificate that licenses a
 //! cluster order `B* C*` speaks about the order of **operator stars**,
 //! and sharding only reorders work *inside one application* of one
@@ -72,31 +78,46 @@ fn finish_fixpoint(sp: &mut linrec_obs::Span, stats: &EvalStats) {
     sp.attr("tuples", stats.tuples);
 }
 
-/// Semi-naive least fixpoint of `init ∪ Σᵢ Aᵢ(P)`.
+/// Semi-naive least fixpoint of `init ∪ Σᵢ Aᵢ(P)`: sequential rounds over
+/// a fresh scan/index cache — the reference evaluator the tests hold every
+/// other path against.
 pub fn seminaive_star(
     rules: &[LinearRule],
     db: &Database,
     init: &Relation,
 ) -> (Relation, EvalStats) {
-    seminaive_star_in(rules, db, init, &mut Indexes::new())
+    seminaive_star_in(
+        rules,
+        db,
+        init,
+        None,
+        &mut Indexes::new(),
+        &Parallelism::sequential(),
+    )
 }
 
-/// [`seminaive_star`] with a caller-provided scan/index cache, so
-/// multi-phase strategies over the same database (decomposed clusters,
-/// redundancy-bounded branches) materialize each EDB relation only once.
+/// [`seminaive_star`] with a round cap, a caller-provided scan/index cache
+/// (so multi-phase plans over the same database materialize each EDB
+/// relation only once) and a [`Parallelism`] knob. `round_cap = Some(n)`
+/// yields the bounded prefix `Σ_{m=0}^{n} Aᵐ init` (boundedness and
+/// redundancy-bounded plans, Theorem 4.2).
 pub fn seminaive_star_in(
     rules: &[LinearRule],
     db: &Database,
     init: &Relation,
+    round_cap: Option<usize>,
     indexes: &mut Indexes,
+    par: &Parallelism,
 ) -> (Relation, EvalStats) {
     let mut total = init.clone();
-    let stats = seminaive_resume_in(rules, db, &mut total, init.clone(), None, indexes);
+    let stats = seminaive_resume(rules, db, &mut total, init.clone(), round_cap, indexes, par);
     (total, stats)
 }
 
 /// Resume a semi-naive fixpoint from an already-materialized relation —
-/// the primitive behind incremental view maintenance.
+/// the one semi-naive loop: [`seminaive_star_in`] starts it from
+/// `total = delta = init`, incremental view maintenance from a
+/// materialized view and its batch delta.
 ///
 /// Preconditions (the caller's obligations, not checked):
 /// * every tuple of `delta` is already in `total`;
@@ -109,26 +130,33 @@ pub fn seminaive_star_in(
 ///
 /// Under those premises the loop extends `total` in place to the least
 /// fixpoint of `init ∪ Σᵢ Aᵢ(P)` for any `init ⊆ total`, re-deriving
-/// nothing reachable only from the unchanged region. `round_cap` bounds
-/// the number of delta rounds: sound when a boundedness certificate
-/// guarantees the fixpoint is reached within that many applications
-/// (`None` runs to fixpoint).
-pub fn seminaive_resume_in(
+/// nothing reachable only from the unchanged region. New tuples are
+/// appended to `total` in derivation order. `round_cap` bounds the number
+/// of delta rounds: sound when a boundedness certificate guarantees the
+/// fixpoint is reached within that many applications (`None` runs to
+/// fixpoint). Rounds whose delta reaches `par`'s cutover run sharded on
+/// the shared engine pool (module docs); results and statistics are
+/// identical to the sequential rounds.
+pub fn seminaive_resume(
     rules: &[LinearRule],
     db: &Database,
     total: &mut Relation,
     mut delta: Relation,
     round_cap: Option<usize>,
     indexes: &mut Indexes,
+    par: &Parallelism,
 ) -> EvalStats {
     let mut sp = linrec_obs::span("engine.fixpoint");
+    if par.is_parallel() {
+        sp.attr("par", par.threads());
+    }
     let prof = linrec_obs::enabled().then(profile::rounds);
     let mut round_start = prof.map(|_| Instant::now());
     let mut stats = EvalStats::default();
     while !delta.is_empty() && round_cap.is_none_or(|cap| stats.iterations < cap) {
         stats.iterations += 1;
         let delta_in = delta.len() as u64;
-        delta = sequential_round(rules, db, total, &delta, indexes, &mut stats);
+        delta = seminaive_round(rules, db, total, delta, indexes, par, &mut stats);
         if let (Some(p), Some(t0)) = (prof, round_start) {
             let now = Instant::now();
             p.round_ns.observe((now - t0).as_nanos() as u64);
@@ -170,69 +198,12 @@ fn sequential_round(
     next_delta
 }
 
-/// [`seminaive_star_in`] with a [`Parallelism`] knob: rounds whose delta
-/// reaches the knob's cutover are evaluated over hash-partitioned shards
-/// on the shared engine pool (see the module docs for the protocol and why
-/// it is exact). With a sequential knob this *is* `seminaive_star_in`.
-pub fn seminaive_star_par_in(
-    rules: &[LinearRule],
-    db: &Database,
-    init: &Relation,
-    indexes: &mut Indexes,
-    par: &Parallelism,
-) -> (Relation, EvalStats) {
-    let mut total = init.clone();
-    let stats = seminaive_resume_par_in(rules, db, &mut total, init.clone(), None, indexes, par);
-    (total, stats)
-}
-
-/// [`seminaive_resume_in`] with a [`Parallelism`] knob — the parallel
-/// variant behind both `Plan::execute` and the service's delta
-/// maintenance. Preconditions and semantics are identical to the
-/// sequential resume; output and statistics are too (module docs).
-pub fn seminaive_resume_par_in(
-    rules: &[LinearRule],
-    db: &Database,
-    total: &mut Relation,
-    mut delta: Relation,
-    round_cap: Option<usize>,
-    indexes: &mut Indexes,
-    par: &Parallelism,
-) -> EvalStats {
-    if !par.is_parallel() {
-        return seminaive_resume_in(rules, db, total, delta, round_cap, indexes);
-    }
-    let mut sp = linrec_obs::span("engine.fixpoint");
-    sp.attr("par", par.threads());
-    let prof = linrec_obs::enabled().then(profile::rounds);
-    let mut round_start = prof.map(|_| Instant::now());
-    let mut stats = EvalStats::default();
-    while !delta.is_empty() && round_cap.is_none_or(|cap| stats.iterations < cap) {
-        stats.iterations += 1;
-        let delta_in = delta.len() as u64;
-        delta = seminaive_round_par(rules, db, total, delta, indexes, par, &mut stats);
-        if let (Some(p), Some(t0)) = (prof, round_start) {
-            let now = Instant::now();
-            p.round_ns.observe((now - t0).as_nanos() as u64);
-            p.round_delta.observe(delta_in);
-            round_start = Some(now);
-        }
-        total.union_in_place(&delta);
-    }
-    stats.tuples = total.len();
-    finish_fixpoint(&mut sp, &stats);
-    stats
-}
-
 /// One semi-naive round under a [`Parallelism`] knob: apply every rule to
 /// `delta`, returning the next delta (derived tuples not in `total`).
-/// `total` is **not** updated — the caller unions the result in, and may
-/// also fold it into other accumulators (the service's per-cluster
-/// maintenance keeps a cross-cluster frontier this way). Rounds below the
-/// knob's `min_delta` (or with no pool) run the plain sequential body;
-/// results and statistics are identical either way. `stats.iterations` is
-/// the caller's to advance.
-pub fn seminaive_round_par(
+/// `total` is **not** updated — the caller unions the result in. Rounds
+/// below the knob's `min_delta` (or with no pool) run the plain sequential
+/// body; results and statistics are identical either way.
+fn seminaive_round(
     rules: &[LinearRule],
     db: &Database,
     total: &mut Relation,
@@ -376,80 +347,14 @@ pub fn naive_star(rules: &[LinearRule], db: &Database, init: &Relation) -> (Rela
     (total, stats)
 }
 
-/// The bounded prefix `Σ_{m=0}^{count} Aᵐ init` for a single operator,
-/// evaluated semi-naively (used by the redundancy-bounded strategy,
-/// Theorem 4.2).
-pub fn bounded_prefix(
-    rule: &LinearRule,
-    db: &Database,
-    init: &Relation,
-    count: usize,
-) -> (Relation, EvalStats) {
-    bounded_prefix_in(rule, db, init, count, &mut Indexes::new())
-}
-
-/// [`bounded_prefix`] with a caller-provided scan/index cache.
-pub fn bounded_prefix_in(
-    rule: &LinearRule,
-    db: &Database,
-    init: &Relation,
-    count: usize,
-    indexes: &mut Indexes,
-) -> (Relation, EvalStats) {
-    let mut stats = EvalStats::default();
-    let mut total = init.clone();
-    let mut delta = init.clone();
-    for _ in 0..count {
-        if delta.is_empty() {
-            break;
-        }
-        stats.iterations += 1;
-        let (derived, count) = apply_linear(rule, db, &delta, indexes);
-        let mut next_delta = Relation::new(total.arity());
-        let mut new = 0u64;
-        for t in derived.iter() {
-            if !total.contains(t) && next_delta.insert(t) {
-                new += 1;
-            }
-        }
-        stats.record(count, new);
-        total.union_in_place(&next_delta);
-        delta = next_delta;
-    }
-    stats.tuples = total.len();
-    (total, stats)
-}
-
-/// The exact power image `Aᶜᵒᵘⁿᵗ(init)` (not accumulated). The dense
-/// fast path runs under [`crate::dense::DEFAULT_DENSE_BUDGET_BYTES`];
-/// planner execution uses [`exact_power_in`] with the active cost
-/// model's budget instead.
-pub fn exact_power(
-    rule: &LinearRule,
-    db: &Database,
-    init: &Relation,
-    count: usize,
-    stats: &mut EvalStats,
-) -> Relation {
-    exact_power_in(
-        rule,
-        db,
-        init,
-        count,
-        stats,
-        &mut Indexes::new(),
-        crate::dense::DEFAULT_DENSE_BUDGET_BYTES,
-    )
-}
-
-/// [`exact_power`] with a caller-provided scan/index cache and dense
-/// byte budget. `dense_budget_bytes` caps the working set of the dense
-/// fast path (three `domain × words` bitset matrices) — pass the active
+/// The exact power image `Aᶜᵒᵘⁿᵗ(init)` (not accumulated), with a
+/// caller-provided scan/index cache and dense byte budget.
+/// `dense_budget_bytes` caps the working set of the dense fast path
+/// (three `domain × words` bitset matrices) — pass the active
 /// [`crate::planner::CostModel::dense_budget_bytes`] so a deployment
 /// that tightened its budget never sees larger transient dense
 /// allocations; `0` disables the fast path outright.
-#[allow(clippy::too_many_arguments)]
-pub fn exact_power_in(
+pub fn exact_power(
     rule: &LinearRule,
     db: &Database,
     init: &Relation,
@@ -519,12 +424,12 @@ mod tests {
     }
 
     #[test]
-    fn exact_power_in_honors_the_dense_budget() {
+    fn exact_power_honors_the_dense_budget() {
         let db = chain_db(40);
         let init = db.relation_named("e").unwrap().clone();
         let rule = tc_rule();
         let mut sparse_stats = EvalStats::default();
-        let sparse = exact_power_in(
+        let sparse = exact_power(
             &rule,
             &db,
             &init,
@@ -534,7 +439,7 @@ mod tests {
             0,
         );
         let mut dense_stats = EvalStats::default();
-        let dense = exact_power_in(
+        let dense = exact_power(
             &rule,
             &db,
             &init,
@@ -581,14 +486,23 @@ mod tests {
     }
 
     #[test]
-    fn bounded_prefix_stops_early() {
+    fn round_cap_stops_the_star_early() {
         let db = chain_db(10);
         let init = Relation::from_pairs([(0, 1)]);
-        let (r2, _) = bounded_prefix(&tc_rule(), &db, &init, 2);
+        let prefix = |cap| {
+            seminaive_star_in(
+                &[tc_rule()],
+                &db,
+                &init,
+                Some(cap),
+                &mut Indexes::new(),
+                &Parallelism::sequential(),
+            )
+            .0
+        };
         // init ∪ A init ∪ A² init = {(0,1),(0,2),(0,3)}.
-        assert_eq!(r2.len(), 3);
-        let (rbig, _) = bounded_prefix(&tc_rule(), &db, &init, 100);
-        assert_eq!(rbig.len(), 10);
+        assert_eq!(prefix(2).len(), 3);
+        assert_eq!(prefix(100).len(), 10);
     }
 
     #[test]
@@ -596,7 +510,15 @@ mod tests {
         let db = chain_db(10);
         let init = Relation::from_pairs([(0, 1)]);
         let mut stats = EvalStats::default();
-        let p3 = exact_power(&tc_rule(), &db, &init, 3, &mut stats);
+        let p3 = exact_power(
+            &tc_rule(),
+            &db,
+            &init,
+            3,
+            &mut stats,
+            &mut Indexes::new(),
+            crate::dense::DEFAULT_DENSE_BUDGET_BYTES,
+        );
         assert_eq!(p3.sorted(), Relation::from_pairs([(0, 4)]).sorted());
     }
 
@@ -628,13 +550,14 @@ mod tests {
         }
         total.union_in_place(&delta);
 
-        let stats = seminaive_resume_in(
+        let stats = seminaive_resume(
             std::slice::from_ref(&rule),
             &db2,
             &mut total,
             delta,
             None,
             &mut Indexes::new(),
+            &Parallelism::sequential(),
         );
         let init2 = db2.relation_named("e").unwrap().clone();
         let (scratch, _) = seminaive_star(&[rule], &db2, &init2);
@@ -650,13 +573,14 @@ mod tests {
         let db = chain_db(10);
         let mut total = Relation::from_pairs([(0, 1)]);
         let delta = total.clone();
-        let stats = seminaive_resume_in(
+        let stats = seminaive_resume(
             &[rule],
             &db,
             &mut total,
             delta,
             Some(2),
             &mut Indexes::new(),
+            &Parallelism::sequential(),
         );
         assert_eq!(stats.iterations, 2);
         // init ∪ A init ∪ A² init.
@@ -677,14 +601,23 @@ mod tests {
         Parallelism::new(k).with_min_delta(1)
     }
 
+    /// The uncapped star under `par`, over a fresh cache.
+    fn star_under(
+        rules: &[LinearRule],
+        db: &Database,
+        init: &Relation,
+        par: &Parallelism,
+    ) -> (Relation, EvalStats) {
+        seminaive_star_in(rules, db, init, None, &mut Indexes::new(), par)
+    }
+
     #[test]
     fn parallel_star_is_bit_identical_to_sequential() {
         let db = chain_db(40);
         let init = db.relation_named("e").unwrap().clone();
         let (seq, seq_stats) = seminaive_star(&[tc_rule()], &db, &init);
         for k in [1usize, 2, 3, 8] {
-            let (par, par_stats) =
-                seminaive_star_par_in(&[tc_rule()], &db, &init, &mut Indexes::new(), &eager(k));
+            let (par, par_stats) = star_under(&[tc_rule()], &db, &init, &eager(k));
             assert_eq!(par.sorted(), seq.sorted(), "k={k}");
             assert_eq!(par_stats, seq_stats, "k={k}: statistics must match too");
         }
@@ -702,8 +635,7 @@ mod tests {
         let init = Relation::from_pairs((0..12).map(|i| (i, i)));
         let rules = vec![up, down];
         let (seq, seq_stats) = seminaive_star(&rules, &db, &init);
-        let (par, par_stats) =
-            seminaive_star_par_in(&rules, &db, &init, &mut Indexes::new(), &eager(3));
+        let (par, par_stats) = star_under(&rules, &db, &init, &eager(3));
         assert_eq!(par.sorted(), seq.sorted());
         assert_eq!(par_stats, seq_stats);
     }
@@ -732,33 +664,23 @@ mod tests {
             }
         }
 
-        let run = |par: Option<Parallelism>| {
+        let run = |par: Parallelism| {
             let mut total = fix.clone();
             total.union_in_place(&seed);
-            let stats = match par {
-                Some(par) => seminaive_resume_par_in(
-                    std::slice::from_ref(&rule),
-                    &db2,
-                    &mut total,
-                    seed.clone(),
-                    None,
-                    &mut Indexes::new(),
-                    &par,
-                ),
-                None => seminaive_resume_in(
-                    std::slice::from_ref(&rule),
-                    &db2,
-                    &mut total,
-                    seed.clone(),
-                    None,
-                    &mut Indexes::new(),
-                ),
-            };
+            let stats = seminaive_resume(
+                std::slice::from_ref(&rule),
+                &db2,
+                &mut total,
+                seed.clone(),
+                None,
+                &mut Indexes::new(),
+                &par,
+            );
             (total, stats)
         };
-        let (seq_total, seq_stats) = run(None);
+        let (seq_total, seq_stats) = run(Parallelism::sequential());
         for k in [2usize, 8] {
-            let (par_total, par_stats) = run(Some(eager(k)));
+            let (par_total, par_stats) = run(eager(k));
             assert_eq!(par_total.sorted(), seq_total.sorted(), "k={k}");
             assert_eq!(par_stats, seq_stats, "k={k}");
         }
@@ -774,7 +696,7 @@ mod tests {
         let db = chain_db(10);
         let mut total = Relation::from_pairs([(0, 1)]);
         let delta = total.clone();
-        let stats = seminaive_resume_par_in(
+        let stats = seminaive_resume(
             &[rule],
             &db,
             &mut total,
@@ -791,13 +713,7 @@ mod tests {
     fn sequential_knob_runs_without_a_pool() {
         let db = chain_db(6);
         let init = db.relation_named("e").unwrap().clone();
-        let (a, sa) = seminaive_star_par_in(
-            &[tc_rule()],
-            &db,
-            &init,
-            &mut Indexes::new(),
-            &Parallelism::sequential(),
-        );
+        let (a, sa) = star_under(&[tc_rule()], &db, &init, &Parallelism::sequential());
         let (b, sb) = seminaive_star(&[tc_rule()], &db, &init);
         assert_eq!(a.sorted(), b.sorted());
         assert_eq!(sa, sb);
@@ -808,7 +724,7 @@ mod tests {
         let db = chain_db(25);
         let init = db.relation_named("e").unwrap().clone();
         let gated = Parallelism::new(4).with_min_delta(usize::MAX);
-        let (a, sa) = seminaive_star_par_in(&[tc_rule()], &db, &init, &mut Indexes::new(), &gated);
+        let (a, sa) = star_under(&[tc_rule()], &db, &init, &gated);
         let (b, sb) = seminaive_star(&[tc_rule()], &db, &init);
         assert_eq!(a.sorted(), b.sorted());
         assert_eq!(sa, sb);
@@ -826,8 +742,7 @@ mod tests {
         let db = chain_db(20);
         let init = db.relation_named("e").unwrap().clone();
         let (seq, seq_stats) = seminaive_star(&rules, &db, &init);
-        let (par, par_stats) =
-            seminaive_star_par_in(&rules, &db, &init, &mut Indexes::new(), &eager(3));
+        let (par, par_stats) = star_under(&rules, &db, &init, &eager(3));
         assert_eq!(par.sorted(), seq.sorted());
         assert_eq!(par_stats, seq_stats);
     }

@@ -711,17 +711,8 @@ impl ViewService {
     /// happens under the writer lock, so it captures a batch-consistent
     /// state; readers are unaffected.
     pub fn checkpoint_now(&self) -> Result<bool, ServiceError> {
-        let retry = self.retry_policy();
         let writer = self.writer.lock().expect("writer lock poisoned");
-        let mut dur = self.durability.lock().expect("durability lock poisoned");
-        match dur.as_mut().and_then(|d| d.store.as_mut()) {
-            Some(store) => {
-                let data = self.snapshot_data(&writer);
-                retry.run(|| store.checkpoint(&data))?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        Ok(self.checkpoint(&writer, true)?)
     }
 
     /// The current write-availability mode and (when degraded) its reason.
@@ -1097,8 +1088,16 @@ impl ViewService {
         self.publish(&writer, [(name.clone(), info)]);
         // Registrations are not WAL-logged (the log carries insert batches
         // only), so a durable service folds the new view into a checkpoint
-        // right away.
-        self.checkpoint_if_durable(&writer);
+        // right away. The registration has already committed and
+        // published, so a failure is reported out-of-band.
+        if let Err(e) = self.checkpoint(&writer, true) {
+            self.note_fault(&e, "post-registration checkpoint");
+            eprintln!(
+                "warning: post-registration checkpoint failed ({e}); the \
+                 view is registered and will be captured by the next \
+                 successful checkpoint"
+            );
+        }
         Ok(BatchReport {
             epoch,
             inserted: 0,
@@ -1309,7 +1308,18 @@ impl ViewService {
         writer.db = db;
         writer.epoch = epoch;
         self.publish(&writer, updates);
-        self.maybe_checkpoint(&writer);
+        // Fold the WAL into a new snapshot generation when the policy says
+        // so. This is **after the commit point**, so a checkpoint failure
+        // must not fail the acknowledged batch: it is reported out-of-band
+        // and the batch stays in the WAL, which remains the source of
+        // durability. The next batch (or `checkpoint_now`) retries.
+        if let Err(e) = self.checkpoint(&writer, false) {
+            self.note_fault(&e, "checkpoint");
+            eprintln!(
+                "warning: checkpoint failed ({e}); committed batches remain \
+                 durable in the WAL and the next batch will retry"
+            );
+        }
         // The batch is committed and acked from here on; feed the drift
         // sentinel (estimate each maintained view's batch against the
         // shared model, journal the pair, trip + recalibrate on drift).
@@ -1465,17 +1475,8 @@ impl ViewService {
             let mut out = Vec::with_capacity(writer.views.len());
             for view in writer.views.iter_mut() {
                 let old = old_of(&view.def().name);
-                let mut sp = linrec_obs::span("view.maintain");
-                sp.attr("view", &view.def().name);
-                let started = Instant::now();
-                let outcome = view.maintain(&old, db, deltas)?;
-                let nanos = started.elapsed().as_nanos() as u64;
-                if linrec_obs::enabled() {
-                    crate::profile::service().maintain_ns.observe(nanos);
-                    sp.attr("mode", outcome.mode);
-                }
-                drop(sp);
-                out.push((outcome, nanos));
+                let (outcome, nanos) = maintain_one(view, &old, db, deltas);
+                out.push((outcome?, nanos));
             }
             return Ok(out);
         }
@@ -1494,18 +1495,7 @@ impl ViewService {
                 let deltas = deltas.clone();
                 pool.submit(move || {
                     let _g = ctx.enter();
-                    let mut sp = linrec_obs::span("view.maintain");
-                    sp.attr("view", &view.def().name);
-                    let started = Instant::now();
-                    let outcome = view.maintain(&old, &db, &deltas);
-                    let nanos = started.elapsed().as_nanos() as u64;
-                    if linrec_obs::enabled() {
-                        crate::profile::service().maintain_ns.observe(nanos);
-                        if let Ok(o) = &outcome {
-                            sp.attr("mode", o.mode);
-                        }
-                    }
-                    drop(sp);
+                    let (outcome, nanos) = maintain_one(&mut view, &old, &db, &deltas);
                     (view, outcome, nanos)
                 })
             })
@@ -1528,53 +1518,28 @@ impl ViewService {
         }
     }
 
-    /// Fold the WAL into a new snapshot generation when the policy says
-    /// so. Called with the writer lock held, right after a publish — i.e.
-    /// **after the commit point**, so a checkpoint failure must not fail
-    /// the already-committed operation: it is reported out-of-band
-    /// (stderr) and the acknowledged batches simply stay in the WAL,
-    /// which remains the source of durability. The next batch (or an
-    /// explicit [`ViewService::checkpoint_now`]) retries.
-    fn maybe_checkpoint(&self, writer: &Writer) {
+    /// Fold the current snapshot into a new store generation, under the
+    /// writer lock the caller holds (so the capture is batch-consistent;
+    /// readers are unaffected). Without `force` it only runs when the
+    /// checkpoint policy says the WAL has grown enough. Returns whether a
+    /// checkpoint ran: `Ok(false)` on a non-durable (or currently
+    /// degraded) service.
+    fn checkpoint(&self, writer: &Writer, force: bool) -> Result<bool, StorageError> {
         let retry = self.retry_policy();
         let mut dur = self.durability.lock().expect("durability lock poisoned");
         let Some(d) = dur.as_mut() else {
-            return;
+            return Ok(false);
         };
         let Some(store) = d.store.as_mut() else {
-            return;
+            return Ok(false);
         };
         let (batches, bytes) = store.wal_pressure();
-        if !d.policy.should_checkpoint(batches, bytes) {
-            return;
+        if !force && !d.policy.should_checkpoint(batches, bytes) {
+            return Ok(false);
         }
         let data = self.snapshot_data(writer);
-        if let Err(e) = retry.run(|| store.checkpoint(&data)) {
-            self.note_fault(&e, "checkpoint");
-            eprintln!(
-                "warning: checkpoint failed ({e}); committed batches remain \
-                 durable in the WAL and the next batch will retry"
-            );
-        }
-    }
-
-    /// Unconditional checkpoint when durable (registration path). Like
-    /// [`ViewService::maybe_checkpoint`], runs after the registration has
-    /// committed and published, so failures are out-of-band.
-    fn checkpoint_if_durable(&self, writer: &Writer) {
-        let retry = self.retry_policy();
-        let mut dur = self.durability.lock().expect("durability lock poisoned");
-        if let Some(store) = dur.as_mut().and_then(|d| d.store.as_mut()) {
-            let data = self.snapshot_data(writer);
-            if let Err(e) = retry.run(|| store.checkpoint(&data)) {
-                self.note_fault(&e, "post-registration checkpoint");
-                eprintln!(
-                    "warning: post-registration checkpoint failed ({e}); the \
-                     view is registered and will be captured by the next \
-                     successful checkpoint"
-                );
-            }
-        }
+        retry.run(|| store.checkpoint(&data))?;
+        Ok(true)
     }
 
     /// Build and publish a snapshot from the writer's state, carrying the
@@ -1603,6 +1568,29 @@ impl ViewService {
         });
         *self.current.write().expect("snapshot lock poisoned") = snapshot;
     }
+}
+
+/// Maintain one view under one batch inside its `view.maintain` span,
+/// observing the wall time into the service's maintain histogram. Returns
+/// the outcome with that wall time (ns).
+fn maintain_one(
+    view: &mut MaintainedView,
+    old: &Arc<Relation>,
+    db: &Database,
+    deltas: &FastMap<Symbol, Arc<Relation>>,
+) -> (Result<MaintenanceOutcome, StrategyError>, u64) {
+    let mut sp = linrec_obs::span("view.maintain");
+    sp.attr("view", &view.def().name);
+    let started = Instant::now();
+    let outcome = view.maintain(old, db, deltas);
+    let nanos = started.elapsed().as_nanos() as u64;
+    if linrec_obs::enabled() {
+        crate::profile::service().maintain_ns.observe(nanos);
+        if let Ok(o) = &outcome {
+            sp.attr("mode", o.mode);
+        }
+    }
+    (outcome, nanos)
 }
 
 /// Start a background recovery probe: every `interval`, a degraded

@@ -20,8 +20,9 @@
 //!    discrete derivative of the join; `A(V) ⊆ V` covers the all-old
 //!    term, so only the at-least-one-delta terms are enumerated);
 //! 2. **resumes the fixpoint** from `total = V ∪ Δ₀` with frontier `Δ₀`
-//!    ([`linrec_engine::seminaive::seminaive_resume_in`]), re-deriving
-//!    nothing that is reachable only from the unchanged region.
+//!    ([`linrec_engine::seminaive::seminaive_resume`], the engine's one
+//!    semi-naive loop), re-deriving nothing that is reachable only from
+//!    the unchanged region.
 //!
 //! # What the certificates license
 //!
@@ -32,8 +33,9 @@
 //!   certified number of applications, no fixpoint test beyond it;
 //! * **commutativity** (`Decomposed`) — one resume per commuting cluster,
 //!   right-to-left (`B'* C'* (V ∪ Δ₀)`, licensed because the certificate
-//!   is a property of the rules, not of the data), producing no more
-//!   duplicates than the rule-sum resume (Theorem 3.1);
+//!   is a property of the rules, not of the data), each starting from
+//!   everything derived since `V`, producing no more duplicates than the
+//!   rule-sum resume (Theorem 3.1);
 //! * **`Direct`/`Naive`** — resume over the rule sum (always sound);
 //! * anything else (`Separable`, `RedundancyBounded`, `SelectAfter`) has
 //!   no incremental form here: maintenance **falls back to a full
@@ -41,10 +43,9 @@
 
 use linrec_datalog::hash::FastMap;
 use linrec_datalog::{Atom, Database, LinearRule, Relation, Rule, Symbol};
-use linrec_engine::seminaive::{seminaive_resume_par_in, seminaive_round_par};
 use linrec_engine::{
-    apply_flat, Analysis, CostModel, EvalStats, Indexes, Parallelism, Plan, PlanShape,
-    StrategyError,
+    apply_flat, seminaive_resume, Analysis, CostModel, EvalStats, Indexes, Parallelism, Plan,
+    PlanShape, StrategyError,
 };
 use std::sync::Arc;
 
@@ -169,30 +170,20 @@ impl MaintainedView {
     /// Analyze `def`'s rules against the given database, pick the
     /// cost-model-ranked plan, and derive the maintenance mode. Fails when
     /// the seed relation exists at a different arity than the rules.
-    /// Maintenance and recompute run sequentially; see
-    /// [`MaintainedView::register_with_parallelism`].
+    /// Maintenance and recompute run sequentially under the stock cost
+    /// model; see [`MaintainedView::register_with`].
     pub fn register(def: ViewDef, db: &Database) -> Result<MaintainedView, StrategyError> {
-        MaintainedView::register_with_parallelism(def, db, Parallelism::sequential())
+        MaintainedView::register_with(def, db, Parallelism::sequential(), &CostModel::default())
     }
 
-    /// [`MaintainedView::register`] with a [`Parallelism`] knob: the
-    /// materialization/recompute plan is offered parallel rounds (cost
-    /// model gated, decision recorded in the plan rationale), and every
-    /// incremental resume runs through the same knob.
-    pub fn register_with_parallelism(
-        def: ViewDef,
-        db: &Database,
-        par: Parallelism,
-    ) -> Result<MaintainedView, StrategyError> {
-        MaintainedView::register_with(def, db, par, &CostModel::default())
-    }
-
-    /// [`MaintainedView::register_with_parallelism`] with an explicit
-    /// [`CostModel`] — the service passes its shared (possibly
-    /// drift-recalibrated) model so a view registered after a
-    /// recalibration plans with the corrected constants. The plan's
-    /// decision record is stamped with the view's name and derived
-    /// maintenance mode.
+    /// [`MaintainedView::register`] with a [`Parallelism`] knob and an
+    /// explicit [`CostModel`]. The materialization/recompute plan is
+    /// offered parallel rounds (cost model gated, decision recorded in the
+    /// plan rationale), and every incremental resume runs through the same
+    /// knob. The service passes its shared (possibly drift-recalibrated)
+    /// model so a view registered after a recalibration plans with the
+    /// corrected constants. The plan's decision record is stamped with the
+    /// view's name and derived maintenance mode.
     pub fn register_with(
         def: ViewDef,
         db: &Database,
@@ -337,49 +328,42 @@ impl MaintainedView {
         // Resume the fixpoint from total = V ∪ Δ₀ (module docs, step 2).
         let mut total = Relation::clone(old);
         total.union_in_place(&fresh);
-        match &self.mode {
-            MaintenanceMode::Incremental => {
-                stats += seminaive_resume_par_in(
-                    &self.def.rules,
+        if let MaintenanceMode::IncrementalDecomposed(clusters) = &self.mode {
+            // One resume per commuting cluster, right-to-left; each phase's
+            // delta is everything derived since `old` — the rows `total`
+            // appended past `old.len()`, in derivation order — so a later
+            // cluster sees the earlier clusters' consequences.
+            for cluster in clusters.iter().rev() {
+                let group: Vec<LinearRule> =
+                    cluster.iter().map(|&i| self.def.rules[i].clone()).collect();
+                let since_old = Relation::from_tuples(
+                    total.arity(),
+                    (old.len()..total.len()).map(|r| total.row(r)),
+                );
+                stats += seminaive_resume(
+                    &group,
                     &scratch,
                     &mut total,
-                    fresh,
+                    since_old,
                     None,
                     &mut self.indexes,
                     &self.par,
                 );
             }
-            MaintenanceMode::IncrementalBounded(applications) => {
-                stats += seminaive_resume_par_in(
-                    &self.def.rules,
-                    &scratch,
-                    &mut total,
-                    fresh,
-                    Some(*applications),
-                    &mut self.indexes,
-                    &self.par,
-                );
-            }
-            MaintenanceMode::IncrementalDecomposed(clusters) => {
-                // One resume per commuting cluster, right-to-left; each
-                // phase's frontier is everything derived since `old`, so a
-                // later cluster sees the earlier clusters' consequences.
-                let mut frontier = fresh;
-                for cluster in clusters.iter().rev() {
-                    let group: Vec<LinearRule> =
-                        cluster.iter().map(|&i| self.def.rules[i].clone()).collect();
-                    let s = resume_collecting(
-                        &group,
-                        &scratch,
-                        &mut total,
-                        &mut frontier,
-                        &mut self.indexes,
-                        &self.par,
-                    );
-                    stats += s;
-                }
-            }
-            MaintenanceMode::Recompute => unreachable!("handled above"),
+        } else {
+            let round_cap = match self.mode {
+                MaintenanceMode::IncrementalBounded(applications) => Some(applications),
+                _ => None,
+            };
+            stats += seminaive_resume(
+                &self.def.rules,
+                &scratch,
+                &mut total,
+                fresh,
+                round_cap,
+                &mut self.indexes,
+                &self.par,
+            );
         }
         stats.tuples = total.len();
         Ok(MaintenanceOutcome {
@@ -388,32 +372,6 @@ impl MaintainedView {
             mode: self.mode.label(),
         })
     }
-}
-
-/// A resume that additionally folds every newly derived tuple into
-/// `frontier` (which doubles as the initial delta), so a subsequent
-/// cluster's resume starts from everything derived so far. Rounds run
-/// through [`seminaive_round_par`]: sequential below the knob's cutover,
-/// shard-parallel above it, identical results either way.
-fn resume_collecting(
-    rules: &[LinearRule],
-    db: &Database,
-    total: &mut Relation,
-    frontier: &mut Relation,
-    indexes: &mut Indexes,
-    par: &Parallelism,
-) -> EvalStats {
-    let mut stats = EvalStats::default();
-    let mut delta = frontier.clone();
-    while !delta.is_empty() {
-        stats.iterations += 1;
-        let next_delta = seminaive_round_par(rules, db, total, delta, indexes, par, &mut stats);
-        total.union_in_place(&next_delta);
-        frontier.union_in_place(&next_delta);
-        delta = next_delta;
-    }
-    stats.tuples = total.len();
-    stats
 }
 
 #[cfg(test)]
@@ -669,7 +627,7 @@ mod tests {
         };
         let par = Parallelism::new(3).with_min_delta(1);
         let mut seq = MaintainedView::register(def.clone(), &db).unwrap();
-        let mut con = MaintainedView::register_with_parallelism(def, &db, par).unwrap();
+        let mut con = MaintainedView::register_with(def, &db, par, &CostModel::default()).unwrap();
         assert_eq!(seq.mode(), con.mode());
         let (a, _) = seq.materialize(&db).unwrap();
         let (b, _) = con.materialize(&db).unwrap();

@@ -11,6 +11,7 @@
 //! (`service.publish`).
 
 use linrec::engine::Parallelism;
+use linrec::obs::trace::{enter_trace, TraceId};
 use linrec::prelude::*;
 use linrec::service::{open_durable, CheckpointPolicy, Session, ViewDef, ViewService};
 use std::io::{BufRead, BufReader, Write as _};
@@ -94,6 +95,59 @@ fn trace_correlates_a_batch_end_to_end() {
             })
         });
     assert!(correlated, "no commit trace covers {stages:?}:\n{text}");
+}
+
+/// A view planned `Decomposed` is maintained by one semi-naive resume per
+/// commuting cluster; each resume must show up in the commit's trace as
+/// its own `engine.fixpoint` span, and their rounds must account for the
+/// view report's iterations.
+#[test]
+fn decomposed_maintenance_traces_one_fixpoint_per_cluster() {
+    let mut db = Database::new();
+    db.set_relation("down", Relation::from_pairs([(10, 11), (11, 12)]));
+    db.set_relation("up", Relation::from_pairs([(1, 2), (2, 3)]));
+    db.set_relation("p0", Relation::from_pairs([(2, 10), (3, 11)]));
+    let service = ViewService::new(db);
+    service
+        .register_view(ViewDef {
+            name: "updown".into(),
+            rules: vec![
+                parse_linear_rule("p(x,y) :- p(x,z), down(z,y).").unwrap(),
+                parse_linear_rule("p(x,y) :- p(w,y), up(x,w).").unwrap(),
+            ],
+            seed: Symbol::new("p0"),
+        })
+        .unwrap();
+
+    let trace = TraceId::next();
+    let report = {
+        let _scope = enter_trace(trace);
+        let edge =
+            |pred: &str, a: i64, b: i64| (Symbol::new(pred), vec![Value::Int(a), Value::Int(b)]);
+        service
+            .apply_batch([edge("up", 0, 1), edge("down", 12, 13)])
+            .unwrap()
+    };
+    let view = &report.views[0];
+    assert_eq!(view.mode, "incremental-decomposed");
+    assert!(view.grown_by > 0, "the batch must grow the view");
+
+    let (spans, _) = linrec::obs::trace::recorder().snapshot();
+    let rounds: Vec<usize> = spans
+        .iter()
+        .filter(|s| s.trace == trace.0 && s.name == "engine.fixpoint")
+        .map(|s| {
+            let (_, v) = s
+                .attrs
+                .iter()
+                .find(|(k, _)| *k == "rounds")
+                .expect("engine.fixpoint carries a rounds attribute");
+            v.parse().unwrap()
+        })
+        .collect();
+    assert_eq!(rounds.len(), 2, "one engine.fixpoint per cluster");
+    assert!(view.stats.iterations > 0);
+    assert_eq!(rounds.iter().sum::<usize>(), view.stats.iterations);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! `K ∈ {1, 2, 3, 8}`, the shard-parallel semi-naive executor must produce
 //! **bit-identical results and statistics** to the sequential one — for the
 //! from-scratch star, for the resumed fixpoint behind incremental view
-//! maintenance (`seminaive_resume_par_in` driven through the service under
+//! maintenance (`seminaive_resume` driven through the service under
 //! insert batches), and for whole planner-chosen plans under
 //! `Plan::with_parallelism`.
 //!
@@ -19,10 +19,7 @@
 //! examples (transitive closure, the commuting up/down pair, a bounded
 //! filter) plus randomly generated arity-2 linear rules.
 
-use linrec::engine::{
-    seminaive::{seminaive_resume_in, seminaive_resume_par_in, seminaive_star_par_in},
-    seminaive_star, workload, Indexes,
-};
+use linrec::engine::{seminaive_resume, seminaive_star, seminaive_star_in, workload, Indexes};
 use linrec::prelude::*;
 use linrec::service::{ViewDef, ViewService};
 use proptest::collection::vec;
@@ -137,7 +134,7 @@ proptest! {
         let (seq, seq_stats) = seminaive_star(&rules, &db, &init);
         for k in SHARD_COUNTS {
             let (par, par_stats) =
-                seminaive_star_par_in(&rules, &db, &init, &mut Indexes::new(), &eager(k));
+                seminaive_star_in(&rules, &db, &init, None, &mut Indexes::new(), &eager(k));
             prop_assert_eq!(par.sorted(), seq.sorted(), "case {} k {}", case, k);
             prop_assert_eq!(par_stats, seq_stats, "case {} k {}: stats", case, k);
         }
@@ -163,22 +160,17 @@ proptest! {
         for &(a, b) in &extra {
             delta.insert([Value::Int(a), Value::Int(b)]);
         }
-        let run = |par: Option<&Parallelism>| {
+        let run = |par: &Parallelism| {
             let mut total = fix.clone();
             total.union_in_place(&delta);
-            let stats = match par {
-                Some(par) => seminaive_resume_par_in(
-                    &rules, &db, &mut total, delta.clone(), cap, &mut Indexes::new(), par,
-                ),
-                None => seminaive_resume_in(
-                    &rules, &db, &mut total, delta.clone(), cap, &mut Indexes::new(),
-                ),
-            };
+            let stats = seminaive_resume(
+                &rules, &db, &mut total, delta.clone(), cap, &mut Indexes::new(), par,
+            );
             (total, stats)
         };
-        let (seq_total, seq_stats) = run(None);
+        let (seq_total, seq_stats) = run(&Parallelism::sequential());
         for k in SHARD_COUNTS {
-            let (par_total, par_stats) = run(Some(&eager(k)));
+            let (par_total, par_stats) = run(&eager(k));
             prop_assert_eq!(par_total.sorted(), seq_total.sorted(), "case {} k {}", case, k);
             prop_assert_eq!(par_stats, seq_stats, "case {} k {}: stats", case, k);
         }
@@ -186,9 +178,8 @@ proptest! {
 
     /// The maintenance path end to end: a service with a parallel knob and
     /// a sequential service must publish identical views after every
-    /// insert batch (this drives `seminaive_resume_par_in`/
-    /// `seminaive_round_par` through whatever maintenance form the view's
-    /// certificates license — rule-sum, bounded, decomposed, or the
+    /// insert batch (this drives `seminaive_resume` through whatever
+    /// maintenance form the view's certificates license — rule-sum, bounded, decomposed, or the
     /// recompute fallback).
     #[test]
     fn parallel_maintenance_equals_sequential_under_batches(
@@ -285,10 +276,11 @@ fn env_threads_are_respected() {
     let edges = workload::chain(64);
     let db = workload::graph_db("q", edges.clone());
     let (seq, seq_stats) = seminaive_star(&rules, &db, &edges);
-    let (par_rel, par_stats) = seminaive_star_par_in(
+    let (par_rel, par_stats) = seminaive_star_in(
         &rules,
         &db,
         &edges,
+        None,
         &mut Indexes::new(),
         &par.with_min_delta(1),
     );

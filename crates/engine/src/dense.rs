@@ -29,10 +29,10 @@ use linrec_datalog::{BitsetRelation, Database, DenseDomain, LinearRule, Relation
 use std::sync::Arc;
 
 /// Default byte budget for the dense working set (three `domain × words`
-/// matrices: operand, accumulator, scratch) of a hand-built plan — the
-/// same value as the stock [`crate::planner::CostModel::dense_budget_bytes`],
-/// which planner-driven execution threads into the dense closure and
-/// every [`crate::seminaive::exact_power`] chain instead.
+/// matrices: operand, accumulator, scratch) of a hand-built plan, and the
+/// stock [`crate::planner::CostModel::dense_budget_bytes`], which
+/// planner-driven execution threads into the dense closure and every
+/// [`crate::seminaive::exact_power`] chain.
 pub const DEFAULT_DENSE_BUDGET_BYTES: usize = 64 << 20;
 
 /// Which side of the recursive atom the EDB relation composes on.

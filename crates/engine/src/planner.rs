@@ -350,7 +350,7 @@ impl Analysis {
             if let Some(shape) = dense::composition_shape(rule) {
                 match est.dense_decision(rule, &shape, seed, &seed_doms) {
                     Ok((cost, detail)) => {
-                        let mut plan = Plan::dense_closure(rule.clone(), model.dense_budget_bytes)
+                        let mut plan = Plan::dense_closure(rule.clone())
                             .expect("composition shape checked above");
                         let mut dec = PlanDecision::cost_model("DenseClosure");
                         dec.candidates = considered
@@ -529,7 +529,7 @@ impl Default for CostModel {
             horizon: 12,
             fanout_scale: 1.0,
             per_shard_setup: 96.0,
-            dense_budget_bytes: 64 << 20,
+            dense_budget_bytes: dense::DEFAULT_DENSE_BUDGET_BYTES,
             dense_density_cutover: 0.05,
         }
     }
@@ -1049,9 +1049,8 @@ pub struct Plan {
     /// default; see [`Plan::parallelize`]).
     par: Parallelism,
     /// Byte budget for any dense bitset working set this plan's execution
-    /// may allocate — the `DenseClosure` node's own budget lives in the
-    /// node, but exact-power chains (`RedundancyBounded`) also take a
-    /// dense fast path, and it must honor the same knob. Defaults to
+    /// may allocate: the `DenseClosure` node's matrices and the dense fast
+    /// path of exact-power chains (`RedundancyBounded`). Defaults to
     /// [`dense::DEFAULT_DENSE_BUDGET_BYTES`]; [`Analysis::plan_with`]
     /// overwrites it with [`CostModel::dense_budget_bytes`].
     dense_budget_bytes: usize,
@@ -1102,7 +1101,6 @@ enum PlanNode {
     DenseClosure {
         rule: LinearRule,
         shape: dense::CompositionShape,
-        budget_bytes: usize,
     },
     SelectAfter {
         inner: Box<Plan>,
@@ -1284,10 +1282,11 @@ impl Plan {
     /// adjacency matrices. Licensed by the **composition shape** of the
     /// rule ([`crate::dense::composition_shape`]) — the syntactic witness
     /// that operator powers are boolean matrix powers — and construction
-    /// fails without it. `budget_bytes` caps the runtime working set
-    /// (three `domain × words` matrices); execution falls back to the
-    /// sparse star when the actual domain exceeds it.
-    pub fn dense_closure(rule: LinearRule, budget_bytes: usize) -> Result<Plan, StrategyError> {
+    /// fails without it. The plan's dense budget
+    /// ([`Plan::with_dense_budget`]) caps the runtime working set (three
+    /// `domain × words` matrices); execution falls back to the sparse star
+    /// when the actual domain exceeds it.
+    pub fn dense_closure(rule: LinearRule) -> Result<Plan, StrategyError> {
         let shape = dense::composition_shape(&rule).ok_or_else(|| {
             StrategyError::MissingCertificate(
                 "dense closure needs a composition-shaped rule \
@@ -1301,11 +1300,7 @@ impl Plan {
             shape.edge
         );
         Ok(Plan::make(
-            PlanNode::DenseClosure {
-                rule,
-                shape,
-                budget_bytes,
-            },
+            PlanNode::DenseClosure { rule, shape },
             rationale,
         ))
     }
@@ -1648,15 +1643,11 @@ impl Plan {
                 out.push_str(&format!("{pad}  B: {}\n", dec.b));
                 out.push_str(&format!("{pad}  C: {}\n", dec.c));
             }
-            PlanNode::DenseClosure {
-                rule,
-                shape,
-                budget_bytes,
-            } => {
+            PlanNode::DenseClosure { rule, shape } => {
                 out.push_str(&format!(
                     "{pad}DenseClosure over '{}' (≤ {} MiB working set)\n",
                     shape.edge,
-                    budget_bytes >> 20
+                    self.dense_budget_bytes >> 20
                 ));
                 out.push_str(&format!("{pad}  rule: {rule}\n"));
             }
@@ -1766,13 +1757,9 @@ impl Plan {
                 &self.par,
                 self.dense_budget_bytes,
             ),
-            PlanNode::DenseClosure {
-                rule,
-                shape,
-                budget_bytes,
-            } => {
+            PlanNode::DenseClosure { rule, shape } => {
                 let phase = Phase::begin("dense-closure");
-                match dense::eval_composition(shape, db, init, *budget_bytes) {
+                match dense::eval_composition(shape, db, init, self.dense_budget_bytes) {
                     Some((rel, stats)) => {
                         trace.push(phase.finish(
                             format!("dense closure by squaring over '{}'", shape.edge),
@@ -2542,7 +2529,7 @@ mod tests {
         // Two nonrecursive atoms: not relational composition.
         let rule = rules::shopping_rule();
         assert!(matches!(
-            Plan::dense_closure(rule, 64 << 20),
+            Plan::dense_closure(rule),
             Err(StrategyError::MissingCertificate(_))
         ));
     }
@@ -2553,7 +2540,9 @@ mod tests {
         // take the semi-naive fallback and still be correct.
         let edges = workload::chain(50);
         let db = workload::graph_db("q", edges.clone());
-        let plan = Plan::dense_closure(rules::tc_right(), 8).unwrap();
+        let plan = Plan::dense_closure(rules::tc_right())
+            .unwrap()
+            .with_dense_budget(8);
         let outcome = plan.execute(&db, &edges).unwrap();
         assert_eq!(outcome.relation.len(), 50 * 51 / 2);
         assert!(

@@ -145,4 +145,44 @@ mod tests {
         // The single worker must still be alive to serve the next job.
         assert_eq!(pool.submit(|| 41 + 1).recv().unwrap(), 42);
     }
+
+    #[test]
+    fn panicking_jobs_never_take_good_jobs_down_with_them() {
+        // The service dispatches protocol sessions and per-view
+        // maintenance jobs on this pool: a panicking job must cost
+        // exactly its own result, never a worker (a dead worker would
+        // shrink the pool for the life of the process).
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {})); // quiet the deliberate panics
+        let pool = WorkerPool::new(2);
+        let rxs: Vec<_> = (0..64u32)
+            .map(|i| {
+                pool.submit(move || {
+                    if i % 3 == 0 {
+                        panic!("deliberate panic in job {i}");
+                    }
+                    i
+                })
+            })
+            .collect();
+        let mut ok = 0;
+        let mut failed = 0;
+        for (i, rx) in rxs.into_iter().enumerate() {
+            match rx.recv() {
+                Ok(v) => {
+                    assert_eq!(v, i as u32);
+                    ok += 1;
+                }
+                Err(_) => failed += 1,
+            }
+        }
+        std::panic::set_hook(hook);
+        assert_eq!(failed, 22); // i % 3 == 0 for i in 0..64
+        assert_eq!(ok, 42);
+        // Both workers are still alive.
+        assert_eq!(
+            pool.submit(|| 1).recv().unwrap() + pool.submit(|| 2).recv().unwrap(),
+            3
+        );
+    }
 }

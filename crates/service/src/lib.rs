@@ -22,8 +22,8 @@
 //!   resumes) and a safe fall-back to full recompute for plan shapes with
 //!   no incremental form. The scan/index cache persists across batches
 //!   and revalidates by relation content version.
-//! * **Concurrent front end** ([`pool`], [`protocol`]) — a `std::thread`
-//!   worker pool serves the line-oriented protocol over stdin or TCP
+//! * **Concurrent front end** ([`protocol`]) — the engine's `std::thread`
+//!   [`WorkerPool`] serves the line-oriented protocol over stdin or TCP
 //!   (`linrec serve`).
 //! * **Durability** ([`persist`], `linrec-storage`) — an optional store:
 //!   batches are write-ahead logged (append + fsync) before they are
@@ -60,16 +60,15 @@
 #![warn(missing_docs)]
 
 pub mod persist;
-pub mod pool;
 pub mod profile;
 pub mod protocol;
 pub mod sentinel;
 pub mod service;
 pub mod view;
 
+pub use linrec_engine::WorkerPool;
 pub use linrec_storage::CheckpointPolicy;
 pub use persist::{open_durable, open_durable_with_vfs, RecoveryReport};
-pub use pool::WorkerPool;
 pub use protocol::{explain_json, serve_lines, serve_tcp, Reply, Session};
 pub use sentinel::{DriftTrip, SentinelConfig};
 pub use service::{

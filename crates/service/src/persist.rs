@@ -90,49 +90,36 @@ pub fn open_durable_with_vfs(
     // The decision log is observability, not ground truth: a failure to
     // open it must not fail recovery. Opened before views register so
     // registration-time plan decisions land in it.
-    let mut decision_log = match linrec_storage::DecisionLog::open(&vfs, dir) {
+    let decision_log = match linrec_storage::DecisionLog::open(&vfs, dir) {
         Ok(log) => Some(log),
         Err(e) => {
             eprintln!("linrec: decision log unavailable at {}: {e}", dir.display());
             None
         }
     };
+    let from_snapshot = recovered.snapshot.is_some();
+    let (db, snapshot_epoch, persisted) = match recovered.snapshot {
+        Some(snap) => (snap.db, snap.epoch, snap.views),
+        None => (initial_db, 0, Vec::new()),
+    };
+    let service = ViewService::with_parallelism_at_epoch(db, par, snapshot_epoch);
+    if let Some(log) = decision_log {
+        service.attach_decision_log(log);
+    }
     let mut rematerialized = Vec::new();
-    let (service, from_snapshot, snapshot_epoch) = match recovered.snapshot {
-        Some(snap) => {
-            let epoch = snap.epoch;
-            let service = ViewService::with_parallelism_at_epoch(snap.db, par, epoch);
-            if let Some(log) = decision_log.take() {
-                service.attach_decision_log(log);
-            }
-            for def in defs {
-                let fp = view_fingerprint(def.seed, def.rules.iter());
-                let persisted = snap
-                    .views
-                    .iter()
-                    .find(|v| v.name == def.name && v.fingerprint == fp);
-                match persisted {
-                    Some(v) => service.register_view_recovered(def, Arc::clone(&v.relation))?,
-                    None => {
-                        rematerialized.push(def.name.clone());
-                        service.register_view(def)?;
-                    }
-                }
-            }
-            (service, true, epoch)
-        }
-        None => {
-            let service = ViewService::with_parallelism(initial_db, par);
-            if let Some(log) = decision_log.take() {
-                service.attach_decision_log(log);
-            }
-            for def in defs {
+    for def in defs {
+        let fp = view_fingerprint(def.seed, def.rules.iter());
+        match persisted
+            .iter()
+            .find(|v| v.name == def.name && v.fingerprint == fp)
+        {
+            Some(v) => service.register_view_recovered(def, Arc::clone(&v.relation))?,
+            None => {
                 rematerialized.push(def.name.clone());
                 service.register_view(def)?;
             }
-            (service, false, 0)
         }
-    };
+    }
 
     // Replay the tail through the live maintenance path.
     let replayed_batches = recovered.batches.len();

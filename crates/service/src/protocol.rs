@@ -64,10 +64,10 @@
 //! `internal`) or a typed analyzer diagnostic code (`L…`/`C…`). Clients
 //! branch on the second token; the rest of the line is for humans.
 
-use crate::service::{ServiceError, ViewService};
+use crate::service::{admit_write, ServiceError, ViewService};
 use crate::view::ViewDef;
 use linrec_datalog::{Symbol, Value};
-use linrec_engine::Selection;
+use linrec_engine::{Selection, WorkerPool};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -304,16 +304,10 @@ impl Session {
     /// `ready`: `ok ready` iff a write arriving now would be accepted;
     /// otherwise the same typed error the write would get.
     fn ready(&self) -> Reply {
-        match self.service.mode() {
-            (crate::service::ServiceMode::ReadWrite, _) => Reply::line("ok ready"),
-            (crate::service::ServiceMode::ReadOnly, _) => {
-                Reply::service_err(&ServiceError::ReadOnly)
-            }
-            (crate::service::ServiceMode::Degraded, reason) => {
-                Reply::service_err(&ServiceError::Degraded {
-                    reason: reason.unwrap_or_else(|| "storage fault".to_owned()),
-                })
-            }
+        let (mode, reason) = self.service.mode();
+        match admit_write(mode, reason) {
+            Ok(()) => Reply::line("ok ready"),
+            Err(e) => Reply::service_err(&e),
         }
     }
 
@@ -393,15 +387,10 @@ impl Session {
             }
             // A rejected batch stays staged (nothing landed — batches are
             // atomic): fix the bad insert's effect with `clear` and retry.
-            Err(e) => match e {
-                ServiceError::Lint(_) => {
-                    Reply::line(format!("err {e} ({staged} still staged; `clear` discards)"))
-                }
-                _ => Reply::err(
-                    e.code(),
-                    format_args!("{e} ({staged} still staged; `clear` discards)"),
-                ),
-            },
+            Err(e) => Reply::err(
+                e.code(),
+                format_args!("{e} ({staged} still staged; `clear` discards)"),
+            ),
         }
     }
 
@@ -682,7 +671,7 @@ pub fn serve_lines(
 pub fn serve_tcp(
     service: Arc<ViewService>,
     listener: std::net::TcpListener,
-    pool: &crate::pool::WorkerPool,
+    pool: &WorkerPool,
 ) -> std::io::Result<()> {
     loop {
         let (stream, _addr) = listener.accept()?;

@@ -7,25 +7,48 @@
 //! Readers grab the `Arc` (one lock-held clone, no data copied — the
 //! snapshot's database and view relations are themselves shared
 //! copy-on-write) and serve from it for as long as they like; a snapshot
-//! is immutable once published. The single writer path
-//! ([`ViewService::apply_batch`], [`ViewService::register_view`]) runs
-//! under a separate mutex: it clones the master database (cheap COW),
-//! applies the insert batch (copying only the touched relations),
-//! maintains every registered view through its certificate-licensed
-//! maintenance form ([`crate::view`]), and publishes a new `Arc<Snapshot>`
-//! with the epoch bumped. Readers never block writers and vice versa
-//! beyond the pointer swap.
+//! is immutable once published. The single writer path (below) runs
+//! under a separate mutex and publishes each new `Arc<Snapshot>` with the
+//! epoch bumped. Readers never block writers and vice versa beyond the
+//! pointer swap.
 //!
 //! Epochs are strictly increasing; a batch that inserts nothing new (all
 //! duplicates) publishes nothing and reports the current epoch.
 //!
+//! # Write path
+//!
+//! Behind the write gate (read-only and degraded modes refuse here with
+//! one typed error each) and the overload-controlled writer lock,
+//! [`ViewService::apply_batch`] runs six stages in order:
+//!
+//! 1. **stage** — validate each insert (reserved predicate, arity) and
+//!    insert it into a COW clone of the master database (copying only the
+//!    touched relations), collecting the deltas of genuinely new tuples;
+//! 2. **maintain** — every registered view through its
+//!    certificate-licensed maintenance form ([`crate::view`]);
+//! 3. **WAL append + fsync** — the **commit point** (durable services
+//!    only);
+//! 4. **commit + publish** — install the clone, advance the epoch, publish
+//!    the next snapshot;
+//! 5. **post-commit checkpoint** — when the checkpoint policy says so;
+//! 6. **observe** — drift sentinel and batch metrics.
+//!
+//! A failure in stages 1–3 refuses the batch: the master database, the
+//! epoch and the published snapshot are untouched, and nothing was
+//! acknowledged. A failure in stage 5 comes after the commit point, so it
+//! is reported out of band (`health`'s last fault plus a stderr warning)
+//! and the acknowledged batch stays durable in the WAL.
+//! [`ViewService::register_view`] shares the view-preparation step, stage
+//! 4 and stage 5 (a registration is not WAL-logged, so it always
+//! checkpoints); [`ViewService::register_view_recovered`] shares the
+//! view-preparation step.
+//!
 //! # Durability (optional)
 //!
 //! A service with an attached [`linrec_storage::Store`] (see
-//! [`crate::persist::open_durable`]) write-ahead-logs every batch: the WAL
-//! append + fsync happens **before** the batch commits to the master
-//! database, publishes, or is acknowledged, so an acknowledged batch is on
-//! disk and an unacknowledged one never half-commits. When the WAL
+//! [`crate::persist::open_durable`]) write-ahead-logs every batch at the
+//! commit point above, so an acknowledged batch is on disk and an
+//! unacknowledged one never half-commits. When the WAL
 //! pressure passes the [`linrec_storage::CheckpointPolicy`], the writer
 //! folds the current snapshot into a fresh on-disk generation
 //! (arena snapshot + rotated WAL) while still holding the writer lock —
@@ -57,7 +80,7 @@ use linrec_storage::{
 };
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, TryLockError};
 use std::time::{Duration, Instant};
 
@@ -189,6 +212,20 @@ pub enum ServiceMode {
     Degraded,
 }
 
+/// The one refusal rule: `Ok` when `mode` accepts writes, else the typed
+/// error a write gets — [`ServiceError::ReadOnly`], or
+/// [`ServiceError::Degraded`] carrying `reason` (the mode's recorded
+/// fault).
+pub(crate) fn admit_write(mode: ServiceMode, reason: Option<String>) -> Result<(), ServiceError> {
+    match mode {
+        ServiceMode::ReadWrite => Ok(()),
+        ServiceMode::ReadOnly => Err(ServiceError::ReadOnly),
+        ServiceMode::Degraded => Err(ServiceError::Degraded {
+            reason: reason.unwrap_or_else(|| "storage fault".to_owned()),
+        }),
+    }
+}
+
 impl fmt::Display for ServiceMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -240,8 +277,8 @@ impl RetryPolicy {
         loop {
             match f() {
                 Ok(v) => return Ok(v),
-                Err(e @ StorageError::Io { .. }) if attempt < self.attempts => {
-                    let _ = e; // retried; only the final error surfaces
+                // Retried; only the final error surfaces.
+                Err(StorageError::Io { .. }) if attempt < self.attempts => {
                     if linrec_obs::enabled() {
                         crate::profile::service().storage_retries.inc();
                     }
@@ -529,7 +566,7 @@ pub struct ViewService {
     acked_seq: AtomicU64,
     /// Deny-by-default static analysis at registration (see
     /// [`ViewService::set_registration_checks`]).
-    registration_checks: std::sync::atomic::AtomicBool,
+    registration_checks: AtomicBool,
     /// The shared cost model every registration plans with. Mutable so
     /// the drift sentinel can recalibrate it from journal feedback.
     cost_model: Mutex<CostModel>,
@@ -594,7 +631,7 @@ impl ViewService {
             retry: Mutex::new(RetryPolicy::default()),
             waiting_writers: AtomicUsize::new(0),
             acked_seq: AtomicU64::new(0),
-            registration_checks: std::sync::atomic::AtomicBool::new(true),
+            registration_checks: AtomicBool::new(true),
             cost_model: Mutex::new(CostModel::default()),
             sentinel: Mutex::new(Sentinel::new(SentinelConfig::default())),
             decision_log: Mutex::new(None),
@@ -608,8 +645,7 @@ impl ViewService {
     /// escape hatch — an unsafe rule that passes the gate can still fail
     /// (or loop) at materialization time.
     pub fn set_registration_checks(&self, enabled: bool) {
-        self.registration_checks
-            .store(enabled, std::sync::atomic::Ordering::Relaxed);
+        self.registration_checks.store(enabled, Ordering::Relaxed);
     }
 
     /// A copy of the shared [`CostModel`] views are planned with. The
@@ -875,9 +911,8 @@ impl ViewService {
             }
             Err(e) => {
                 self.note_fault(&e, "restore probe");
-                let mut mode = self.mode_state.lock().expect("mode lock poisoned");
-                mode.reason = Some(format!("restore probe: {e}"));
-                drop(mode);
+                self.mode_state.lock().expect("mode lock poisoned").reason =
+                    Some(format!("restore probe: {e}"));
                 Err(ServiceError::Storage(e))
             }
         }
@@ -897,18 +932,10 @@ impl ViewService {
             };
             (mode.kind, mode.reason.clone(), due)
         };
-        match kind {
-            ServiceMode::ReadWrite => Ok(()),
-            ServiceMode::ReadOnly => Err(ServiceError::ReadOnly),
-            ServiceMode::Degraded => {
-                if probe_due && matches!(self.try_restore(), Ok(true)) {
-                    return Ok(());
-                }
-                Err(ServiceError::Degraded {
-                    reason: reason.unwrap_or_else(|| "storage fault".to_owned()),
-                })
-            }
+        if kind == ServiceMode::Degraded && probe_due && matches!(self.try_restore(), Ok(true)) {
+            return Ok(());
         }
+        admit_write(kind, reason)
     }
 
     /// Acquire the writer lock under overload control: uncontended
@@ -1034,33 +1061,7 @@ impl ViewService {
         sp.attr("view", &def.name);
         self.write_gate()?;
         let mut writer = self.lock_writer()?;
-        if writer.views.iter().any(|v| v.def().name == def.name) {
-            return Err(ServiceError::DuplicateView(def.name));
-        }
-        // Deny-by-default static analysis: structural lints plus the
-        // certificate cross-verifier, without the data-dependent passes
-        // (registration-time relations legitimately start empty). Clients
-        // get the typed diagnostic over the protocol instead of a late
-        // fixpoint failure.
-        if self
-            .registration_checks
-            .load(std::sync::atomic::Ordering::Relaxed)
-        {
-            let report = linrec_lint::check_rules(&def.rules, None, None);
-            if report.has_errors() {
-                return Err(ServiceError::Lint(report));
-            }
-        }
-        let name = def.name.clone();
-        // Pin the seed relation at the rules' arity when it does not exist
-        // yet, so a later insert cannot create it at a different arity
-        // (apply_batch validates inserts against existing relations).
-        if let (Some(rule), None) = (def.rules.first(), writer.db.relation(def.seed)) {
-            let arity = rule.arity();
-            writer.db.set_relation(def.seed, Relation::new(arity));
-        }
-        let mut view =
-            MaintainedView::register_with(def, &writer.db, writer.par.clone(), &self.cost_model())?;
+        let mut view = self.prepare_view(&mut writer, def, true)?;
         let started = Instant::now();
         let (relation, stats) = view.materialize(&writer.db)?;
         let nanos = started.elapsed().as_nanos() as u64;
@@ -1074,30 +1075,18 @@ impl ViewService {
         if let Some(dec) = view.plan().decision() {
             self.log_decision(&dec.to_json());
         }
-        writer.epoch += 1;
-        let epoch = writer.epoch;
+        let name = view.def().name.clone();
         let info = ViewInfo {
             relation: Arc::new(relation),
             mode: "materialize",
             stats,
             maintenance_nanos: nanos,
-            updated_epoch: epoch,
+            updated_epoch: writer.epoch + 1,
             rationale: view.plan().annotated_rationale(),
         };
         writer.views.push(view);
-        self.publish(&writer, [(name.clone(), info)]);
-        // Registrations are not WAL-logged (the log carries insert batches
-        // only), so a durable service folds the new view into a checkpoint
-        // right away. The registration has already committed and
-        // published, so a failure is reported out-of-band.
-        if let Err(e) = self.checkpoint(&writer, true) {
-            self.note_fault(&e, "post-registration checkpoint");
-            eprintln!(
-                "warning: post-registration checkpoint failed ({e}); the \
-                 view is registered and will be captured by the next \
-                 successful checkpoint"
-            );
-        }
+        let epoch = self.commit(&mut writer, None, [(name.clone(), info)]);
+        self.checkpoint_after_commit(&writer, false);
         Ok(BatchReport {
             epoch,
             inserted: 0,
@@ -1125,32 +1114,23 @@ impl ViewService {
         relation: Arc<Relation>,
     ) -> Result<(), ServiceError> {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
-        if writer.views.iter().any(|v| v.def().name == def.name) {
-            return Err(ServiceError::DuplicateView(def.name));
-        }
-        let name = def.name.clone();
-        if let (Some(rule), None) = (def.rules.first(), writer.db.relation(def.seed)) {
-            let arity = rule.arity();
-            writer.db.set_relation(def.seed, Relation::new(arity));
-        }
-        let view =
-            MaintainedView::register_with(def, &writer.db, writer.par.clone(), &self.cost_model())?;
+        let view = self.prepare_view(&mut writer, def, false)?;
         let arity = view.def().rules[0].arity();
         if relation.arity() != arity {
             return Err(ServiceError::ArityMismatch {
-                pred: Symbol::new(&name),
+                pred: Symbol::new(&view.def().name),
                 expected: arity,
                 got: relation.arity(),
             });
         }
-        let stats = EvalStats {
-            tuples: relation.len(),
-            ..Default::default()
-        };
+        let name = view.def().name.clone();
         let info = ViewInfo {
+            stats: EvalStats {
+                tuples: relation.len(),
+                ..Default::default()
+            },
             relation,
             mode: "recovered",
-            stats,
             maintenance_nanos: 0,
             updated_epoch: writer.epoch,
             rationale: view.plan().annotated_rationale(),
@@ -1160,10 +1140,47 @@ impl ViewService {
         Ok(())
     }
 
+    /// View preparation, shared by both registrations: refuse a name that
+    /// is already registered, run the static-analysis gate when `lint` is
+    /// set (and the gate is enabled), pin a missing seed relation at the
+    /// rules' arity, and plan the view against the master database.
+    fn prepare_view(
+        &self,
+        writer: &mut Writer,
+        def: ViewDef,
+        lint: bool,
+    ) -> Result<MaintainedView, ServiceError> {
+        if writer.views.iter().any(|v| v.def().name == def.name) {
+            return Err(ServiceError::DuplicateView(def.name));
+        }
+        // Deny-by-default static analysis: structural lints plus the
+        // certificate cross-verifier, without the data-dependent passes
+        // (registration-time relations legitimately start empty). Clients
+        // get the typed diagnostic over the protocol instead of a late
+        // fixpoint failure.
+        if lint && self.registration_checks.load(Ordering::Relaxed) {
+            let report = linrec_lint::check_rules(&def.rules, None, None);
+            if report.has_errors() {
+                return Err(ServiceError::Lint(report));
+            }
+        }
+        // Pin the seed relation at the rules' arity when it does not exist
+        // yet, so a later insert cannot create it at a different arity
+        // (the stage step validates inserts against existing relations).
+        if let (Some(rule), None) = (def.rules.first(), writer.db.relation(def.seed)) {
+            let arity = rule.arity();
+            writer.db.set_relation(def.seed, Relation::new(arity));
+        }
+        let model = self.cost_model();
+        let view = MaintainedView::register_with(def, &writer.db, writer.par.clone(), &model)?;
+        Ok(view)
+    }
+
     /// Apply one insert-only batch: extend the EDB, maintain every view,
     /// WAL the batch (when durable) and publish a new epoch. Readers keep
     /// serving the previous snapshot until the publish; a batch with no
-    /// genuinely new tuple publishes nothing.
+    /// genuinely new tuple publishes nothing. The stages are listed in the
+    /// module docs.
     pub fn apply_batch(
         &self,
         inserts: impl IntoIterator<Item = (Symbol, Vec<Value>)>,
@@ -1172,217 +1189,194 @@ impl ViewService {
         let t0 = linrec_obs::enabled().then(Instant::now);
         self.write_gate()?;
         let mut writer = self.lock_writer()?;
-
-        // Validate and stage: nothing is written until the whole batch
-        // checks out (a failed batch leaves the master database intact).
-        let mut staged: Vec<(Symbol, Vec<Value>)> = Vec::new();
-        let mut staged_arity: FastMap<Symbol, usize> = FastMap::default();
-        for (pred, tuple) in inserts {
-            if pred.as_str().starts_with(DELTA_MARKER) {
-                return Err(ServiceError::ReservedPredicate(pred.as_str().to_owned()));
-            }
-            let expected = writer
-                .db
-                .relation(pred)
-                .map(|r| r.arity())
-                .or_else(|| staged_arity.get(&pred).copied());
-            if let Some(expected) = expected {
-                if expected != tuple.len() {
-                    return Err(ServiceError::ArityMismatch {
-                        pred,
-                        expected,
-                        got: tuple.len(),
-                    });
-                }
-            }
-            staged_arity.insert(pred, tuple.len());
-            staged.push((pred, tuple));
-        }
-
-        // Apply to a COW clone of the master database: if maintenance or
-        // the WAL append fails below, the master is untouched and the
-        // batch simply never happened.
-        let mut db = writer.db.snapshot();
-        let mut deltas: FastMap<Symbol, Relation> = FastMap::default();
-        let mut logged: Vec<(Symbol, Vec<Value>)> = Vec::new();
-        for (pred, tuple) in staged {
-            if db.insert_tuple(pred, &tuple) {
-                deltas
-                    .entry(pred)
-                    .or_insert_with(|| Relation::new(tuple.len()))
-                    .insert(&tuple);
-                logged.push((pred, tuple));
-            }
-        }
-        let inserted = logged.len();
-        if inserted == 0 {
+        let staged = stage(&writer.db, inserts)?;
+        if staged.logged.is_empty() {
             return Ok(BatchReport {
                 epoch: writer.epoch,
                 inserted: 0,
                 views: Vec::new(),
             });
         }
-        let deltas: FastMap<Symbol, Arc<Relation>> =
-            deltas.into_iter().map(|(p, r)| (p, Arc::new(r))).collect();
+        let (updates, reports) = self.maintain(&mut writer, &staged)?;
+        self.wal_append(&staged.logged)?;
+        let epoch = self.commit(&mut writer, Some(staged.db), updates);
+        self.checkpoint_after_commit(&writer, true);
+        let report = BatchReport {
+            epoch,
+            inserted: staged.logged.len(),
+            views: reports,
+        };
+        self.observe(&writer, &staged.deltas, &report, t0, &mut sp);
+        Ok(report)
+    }
 
+    /// Maintain stage: every registered view against the staged database
+    /// and deltas. Returns the snapshot updates for the views that grew
+    /// and one report per view, in registration order.
+    fn maintain(
+        &self,
+        writer: &mut Writer,
+        staged: &Staged,
+    ) -> Result<(ViewUpdates, Vec<ViewReport>), ServiceError> {
         let epoch = writer.epoch + 1;
         let snapshot = self.snapshot();
-        let maintained = Self::maintain_views(&mut writer, &snapshot, &db, &deltas)?;
+        let maintained = Self::maintain_views(writer, &snapshot, &staged.db, &staged.deltas)?;
         let mut reports = Vec::new();
-        let mut updates: Vec<(String, ViewInfo)> = Vec::new();
-        for (i, (outcome, nanos)) in maintained.into_iter().enumerate() {
-            let view = &writer.views[i];
+        let mut updates = Vec::new();
+        for (view, (outcome, nanos)) in writer.views.iter().zip(maintained) {
             let name = view.def().name.clone();
-            match outcome.relation {
-                Some(relation) => {
-                    let old_len = snapshot
-                        .view(&name)
-                        .map(|v| v.relation.len())
-                        .expect("registered view must be in the current snapshot");
-                    let grown_by = relation.len() - old_len;
-                    updates.push((
-                        name.clone(),
-                        ViewInfo {
-                            relation: Arc::new(relation),
-                            mode: outcome.mode,
-                            stats: outcome.stats,
-                            maintenance_nanos: nanos,
-                            updated_epoch: epoch,
-                            rationale: view.plan().annotated_rationale(),
-                        },
-                    ));
-                    reports.push(ViewReport {
-                        name,
+            let mut report = ViewReport {
+                name: name.clone(),
+                mode: "unchanged",
+                stats: outcome.stats,
+                nanos,
+                grown_by: 0,
+            };
+            if let Some(relation) = outcome.relation {
+                let old_len = snapshot
+                    .count(&name)
+                    .expect("registered view must be in the current snapshot");
+                report.mode = outcome.mode;
+                report.grown_by = relation.len() - old_len;
+                updates.push((
+                    name,
+                    ViewInfo {
+                        relation: Arc::new(relation),
                         mode: outcome.mode,
                         stats: outcome.stats,
-                        nanos,
-                        grown_by,
-                    });
-                }
-                None => reports.push(ViewReport {
-                    name,
-                    mode: "unchanged",
-                    stats: outcome.stats,
-                    nanos,
-                    grown_by: 0,
-                }),
+                        maintenance_nanos: nanos,
+                        updated_epoch: epoch,
+                        rationale: view.plan().annotated_rationale(),
+                    },
+                ));
             }
+            reports.push(report);
         }
+        Ok((updates, reports))
+    }
 
-        // Durability barrier: the WAL append + fsync must succeed before
-        // the batch commits to the master database, publishes, or is
-        // acknowledged to the caller. Transient faults retry with backoff
-        // (the WAL rolls a failed append back before the retry lands, so
-        // re-appending is always safe); exhausted retries degrade the
-        // service to read-only and refuse the batch — the master database
-        // is untouched, so the unacked batch vanishes atomically.
-        {
-            let retry = self.retry_policy();
-            let mut dur = self.durability.lock().expect("durability lock poisoned");
-            let append = match dur.as_mut() {
-                None => None,
-                Some(d) => match d.store.as_mut() {
-                    Some(store) => Some(retry.run(|| store.append_batch(&logged))),
-                    // Degraded between the gate and here: refuse.
-                    None => {
-                        let (_, reason) = self.mode();
-                        return Err(ServiceError::Degraded {
-                            reason: reason.unwrap_or_else(|| "storage fault".to_owned()),
-                        });
-                    }
-                },
-            };
-            match append {
-                None | Some(Ok(_)) => {
-                    if let Some(Ok(seq)) = append {
-                        self.acked_seq.store(seq, Ordering::SeqCst);
-                    }
-                }
-                Some(Err(e)) => {
-                    let reason = self.degrade(&mut dur, &e, "wal append");
-                    return Err(ServiceError::Degraded { reason });
-                }
+    /// WAL stage, the commit point: the append + fsync must succeed before
+    /// the batch commits to the master database, publishes, or is
+    /// acknowledged to the caller. Transient faults retry with backoff
+    /// (the WAL rolls a failed append back before the retry lands, so
+    /// re-appending is always safe); exhausted retries degrade the service
+    /// to read-only and refuse the batch — the master database is
+    /// untouched, so the unacked batch vanishes atomically. A volatile
+    /// service has nothing to log.
+    fn wal_append(&self, logged: &[(Symbol, Vec<Value>)]) -> Result<(), ServiceError> {
+        let retry = self.retry_policy();
+        let mut dur = self.durability.lock().expect("durability lock poisoned");
+        let Some(d) = dur.as_mut() else {
+            return Ok(());
+        };
+        let Some(store) = d.store.as_mut() else {
+            // Degraded between the gate and here: refuse.
+            return admit_write(ServiceMode::Degraded, self.mode().1);
+        };
+        match retry.run(|| store.append_batch(logged)) {
+            Ok(seq) => {
+                self.acked_seq.store(seq, Ordering::SeqCst);
+                Ok(())
             }
+            Err(e) => Err(ServiceError::Degraded {
+                reason: self.degrade(&mut dur, &e, "wal append"),
+            }),
         }
+    }
 
-        writer.db = db;
-        writer.epoch = epoch;
-        self.publish(&writer, updates);
-        // Fold the WAL into a new snapshot generation when the policy says
-        // so. This is **after the commit point**, so a checkpoint failure
-        // must not fail the acknowledged batch: it is reported out-of-band
-        // and the batch stays in the WAL, which remains the source of
-        // durability. The next batch (or `checkpoint_now`) retries.
-        if let Err(e) = self.checkpoint(&writer, false) {
-            self.note_fault(&e, "checkpoint");
-            eprintln!(
-                "warning: checkpoint failed ({e}); committed batches remain \
-                 durable in the WAL and the next batch will retry"
-            );
+    /// Commit + publish stage: install the staged database (`None` when
+    /// the caller changed the master in place), advance the epoch and
+    /// publish the next snapshot with `updates`. Returns the new epoch.
+    fn commit(
+        &self,
+        writer: &mut Writer,
+        db: Option<Database>,
+        updates: impl IntoIterator<Item = (String, ViewInfo)>,
+    ) -> u64 {
+        if let Some(db) = db {
+            writer.db = db;
         }
-        // The batch is committed and acked from here on; feed the drift
-        // sentinel (estimate each maintained view's batch against the
-        // shared model, journal the pair, trip + recalibrate on drift).
+        writer.epoch += 1;
+        self.publish(writer, updates);
+        writer.epoch
+    }
+
+    /// Post-commit checkpoint stage. A WAL-logged batch (`in_wal`) folds
+    /// the WAL into a new snapshot generation when the policy says so; a
+    /// registration is not WAL-logged, so it folds the new view in right
+    /// away. This runs **after the commit point**, so a failure must not
+    /// fail the acknowledged change: it is recorded as the last fault and
+    /// warned about on stderr, and the next checkpoint retries.
+    fn checkpoint_after_commit(&self, writer: &Writer, in_wal: bool) {
+        let Err(e) = self.checkpoint(writer, !in_wal) else {
+            return;
+        };
+        let (context, consequence) = if in_wal {
+            (
+                "checkpoint",
+                "committed batches remain durable in the WAL and the next batch will retry",
+            )
+        } else {
+            (
+                "post-registration checkpoint",
+                "the view is registered and will be captured by the next successful checkpoint",
+            )
+        };
+        self.note_fault(&e, context);
+        eprintln!("warning: {context} failed ({e}); {consequence}");
+    }
+
+    /// Observe stage, for a committed and acknowledged batch: feed the
+    /// drift sentinel and record the batch metrics. Per maintained view,
+    /// estimate the work the shared model predicts for this delta, journal
+    /// the (estimate, actual) pair, and let the sentinel decide whether the
+    /// model has drifted (a trip recalibrates, see `handle_drift`).
+    fn observe(
+        &self,
+        writer: &Writer,
+        deltas: &FastMap<Symbol, Arc<Relation>>,
+        batch: &BatchReport,
+        t0: Option<Instant>,
+        sp: &mut linrec_obs::Span,
+    ) {
         if linrec_obs::enabled() {
-            self.observe_maintenance(&writer, &deltas, &reports);
+            let model = self.cost_model();
+            let journal = linrec_obs::journal::journal();
+            for (view, report) in writer.views.iter().zip(&batch.views) {
+                if report.mode == "unchanged" {
+                    continue;
+                }
+                let estimate = deltas
+                    .get(&view.def().seed)
+                    .map(|delta| model.estimate(view.plan(), &writer.db, delta));
+                let shape = view.plan().shape().label();
+                let (derivations, nanos) = (report.stats.derivations, report.nanos);
+                journal.record(
+                    "maintain",
+                    &report.name,
+                    shape,
+                    estimate.unwrap_or(0.0),
+                    derivations,
+                    nanos,
+                    String::new(),
+                );
+                let trip = self
+                    .sentinel
+                    .lock()
+                    .expect("sentinel lock poisoned")
+                    .observe(&report.name, estimate, derivations, nanos);
+                if let Some(trip) = trip {
+                    self.handle_drift(&report.name, shape, &trip);
+                }
+            }
         }
         if let Some(t0) = t0 {
             let prof = crate::profile::service();
             prof.batches.inc();
-            prof.batch_inserted.inc_by(inserted as u64);
+            prof.batch_inserted.inc_by(batch.inserted as u64);
             prof.batch_ns.observe(t0.elapsed().as_nanos() as u64);
-            sp.attr("epoch", epoch);
-            sp.attr("inserted", inserted);
-        }
-        Ok(BatchReport {
-            epoch,
-            inserted,
-            views: reports,
-        })
-    }
-
-    /// Per-view drift observation for one committed batch: estimate the
-    /// maintenance work the shared model predicts for this delta, journal
-    /// the (estimate, actual) pair, and let the sentinel decide whether
-    /// the model has drifted.
-    fn observe_maintenance(
-        &self,
-        writer: &Writer,
-        deltas: &FastMap<Symbol, Arc<Relation>>,
-        reports: &[ViewReport],
-    ) {
-        let model = self.cost_model();
-        let journal = linrec_obs::journal::journal();
-        for (view, report) in writer.views.iter().zip(reports) {
-            if report.mode == "unchanged" {
-                continue;
-            }
-            let estimate = deltas
-                .get(&view.def().seed)
-                .map(|delta| model.estimate(view.plan(), &writer.db, delta));
-            let shape = view.plan().shape().label();
-            journal.record(
-                "maintain",
-                &report.name,
-                shape,
-                estimate.unwrap_or(0.0),
-                report.stats.derivations,
-                report.nanos,
-                String::new(),
-            );
-            let trip = self
-                .sentinel
-                .lock()
-                .expect("sentinel lock poisoned")
-                .observe(
-                    &report.name,
-                    estimate,
-                    report.stats.derivations,
-                    report.nanos,
-                );
-            if let Some(trip) = trip {
-                self.handle_drift(&report.name, shape, &trip);
-            }
+            sp.attr("epoch", batch.epoch);
+            sp.attr("inserted", batch.inserted);
         }
     }
 
@@ -1570,6 +1564,57 @@ impl ViewService {
     }
 }
 
+/// New per-view serving states, published over the previous snapshot's.
+type ViewUpdates = Vec<(String, ViewInfo)>;
+
+/// A batch after the stage step: the COW clone of the master database
+/// with the batch applied, the per-predicate deltas of genuinely new
+/// tuples, and those tuples in batch order (what the WAL logs).
+struct Staged {
+    db: Database,
+    deltas: FastMap<Symbol, Arc<Relation>>,
+    logged: Vec<(Symbol, Vec<Value>)>,
+}
+
+/// Stage step: validate each insert and apply it to a COW clone of
+/// `master`. The clone pins the arity of every relation an earlier insert
+/// in the batch created, so one check against it covers both existing
+/// and batch-new predicates. The first invalid insert refuses the whole
+/// batch, and the master is never touched.
+fn stage(
+    master: &Database,
+    inserts: impl IntoIterator<Item = (Symbol, Vec<Value>)>,
+) -> Result<Staged, ServiceError> {
+    let mut db = master.snapshot();
+    let mut deltas: FastMap<Symbol, Relation> = FastMap::default();
+    let mut logged = Vec::new();
+    for (pred, tuple) in inserts {
+        if pred.as_str().starts_with(DELTA_MARKER) {
+            return Err(ServiceError::ReservedPredicate(pred.as_str().to_owned()));
+        }
+        // Checked before `insert_tuple`: `Relation::insert` asserts arity.
+        if let Some(rel) = db.relation(pred).filter(|r| r.arity() != tuple.len()) {
+            return Err(ServiceError::ArityMismatch {
+                pred,
+                expected: rel.arity(),
+                got: tuple.len(),
+            });
+        }
+        if db.insert_tuple(pred, &tuple) {
+            deltas
+                .entry(pred)
+                .or_insert_with(|| Relation::new(tuple.len()))
+                .insert(&tuple);
+            logged.push((pred, tuple));
+        }
+    }
+    Ok(Staged {
+        db,
+        deltas: deltas.into_iter().map(|(p, r)| (p, Arc::new(r))).collect(),
+        logged,
+    })
+}
+
 /// Maintain one view under one batch inside its `view.maintain` span,
 /// observing the wall time into the service's maintain histogram. Returns
 /// the outcome with that wall time (ns).
@@ -1695,11 +1740,59 @@ mod tests {
         assert!(matches!(err, ServiceError::ArityMismatch { .. }));
         assert_eq!(service.snapshot().count("tc").unwrap(), 1);
         assert_eq!(service.snapshot().epoch, 1);
+        // A predicate the batch itself creates is pinned at the arity of
+        // its first tuple: a later tuple of another arity refuses the
+        // batch, and the new relation does not land either.
+        let err = service
+            .apply_batch([
+                (Symbol::new("fresh"), pair(1, 2)),
+                (Symbol::new("fresh"), vec![Value::Int(3)]),
+            ])
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ServiceError::ArityMismatch {
+                    expected: 2,
+                    got: 1,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(service
+            .snapshot()
+            .db
+            .relation(Symbol::new("fresh"))
+            .is_none());
+        assert_eq!(service.snapshot().epoch, 1);
         // Reserved predicates are rejected.
         let err = service
             .apply_batch([(Symbol::new("Δ·e"), pair(0, 0))])
             .unwrap_err();
         assert!(matches!(err, ServiceError::ReservedPredicate(_)));
+    }
+
+    #[test]
+    fn recovered_registration_refuses_a_registered_name() {
+        let mut db = Database::new();
+        db.set_relation("e", Relation::from_pairs([(1, 2), (2, 3)]));
+        let service = ViewService::new(db);
+        service.register_view(tc_def("tc")).unwrap();
+        let before = service.snapshot();
+        let err = service
+            .register_view_recovered(tc_def("tc"), Arc::new(Relation::from_pairs([(7, 8)])))
+            .unwrap_err();
+        assert!(
+            matches!(err, ServiceError::DuplicateView(ref n) if n == "tc"),
+            "{err}"
+        );
+        // The view set, the served relation and the epoch are unchanged.
+        assert_eq!(service.writer.lock().unwrap().views.len(), 1);
+        let after = service.snapshot();
+        assert!(Arc::ptr_eq(&before, &after));
+        assert_eq!(after.view_names(), vec!["tc".to_owned()]);
+        assert_eq!(after.count("tc").unwrap(), 3);
     }
 
     #[test]
